@@ -91,6 +91,9 @@ class ReplayReport:
 #: uninterrupted one and the digests stay bit-identical.
 _DIGEST_BLOCK_EVENTS = 4096
 
+#: one event record's fixed part: ``(time, priority, sequence)``.
+_pack_record = struct.Struct("<dii").pack
+
 
 class EventTraceDigest(Snapshottable):
     """Block-chained SHA-256 over the executed event sequence.
@@ -116,12 +119,20 @@ class EventTraceDigest(Snapshottable):
         return self
 
     def update(self, event) -> None:
+        # Per-event hot path: the event is read by index rather than
+        # through its property accessors, and ``repr`` (the label of a
+        # callable without a qualname, e.g. a ``functools.partial``) is
+        # evaluated only when needed.  The packed bytes are frozen by
+        # tests/test_digest_golden.py.
         self.events += 1
-        fn = event.fn
-        label = getattr(fn, "__qualname__", repr(fn))
+        fn = event[3]
+        try:
+            label = fn.__qualname__
+        except AttributeError:
+            label = repr(fn)
         buffer = self._buffer
-        buffer += struct.pack("<dii", event.time, event.priority, event.sequence)
-        buffer += label.encode("utf-8")
+        buffer += _pack_record(event[0], event[1], event[2])
+        buffer += label.encode()
         if self.events % _DIGEST_BLOCK_EVENTS == 0:
             self._chain = hashlib.sha256(self._chain + buffer).digest()
             del buffer[:]

@@ -23,18 +23,32 @@ Events are plain JSON-safe dicts::
 can detect its own gaps (its subscription's ``dropped`` counter says how
 many it lost).  Nothing here reads wall clocks or RNG; timestamps, when
 present, live inside ``data`` and are stamped by the publisher.
+
+Late subscribers: the bus keeps a bounded *backlog* of every job's
+events, in ``seq`` order.  ``subscribe(job=X)`` first replays X's
+backlog into the new queue, under the same lock ``publish`` takes, so a
+subscriber that connects after a job started still sees every frame,
+exactly once.  A backlog holds at most ``maxsize`` events (the newest
+ones); backlogs of active jobs are kept, and of finished ones only the
+last :data:`KEEP_FINISHED`.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
+from collections import deque
 from typing import Optional
 
-__all__ = ["BusSubscription", "MetricsBus", "DEFAULT_QUEUE_SIZE"]
+__all__ = ["BusSubscription", "MetricsBus", "DEFAULT_QUEUE_SIZE", "KEEP_FINISHED"]
 
 #: per-subscriber queue bound; beyond it, events drop for that subscriber.
+#: Also the length of each job's backlog.
 DEFAULT_QUEUE_SIZE = 1024
+#: backlogs of finished jobs kept for late subscribers; the oldest goes first.
+KEEP_FINISHED = 16
+#: job states after which a job publishes nothing more.
+_FINISHED_STATES = ("done", "failed")
 
 
 class BusSubscription:
@@ -110,7 +124,9 @@ class MetricsBus:
     All methods are safe to call from any thread.  The subscriber list is
     copied under the lock and iterated outside it, so a publish can never
     deadlock against a subscribe — and the lock is held only for list
-    bookkeeping, never while enqueueing.
+    bookkeeping, never while enqueueing.  The one exception is the
+    backlog replay in :meth:`subscribe`, which enqueues under the lock so
+    that no publish can slip between the replay and the registration.
     """
 
     def __init__(self, maxsize: int = DEFAULT_QUEUE_SIZE) -> None:
@@ -119,6 +135,10 @@ class MetricsBus:
         self._seq = 0
         self._lock = threading.Lock()
         self._subscribers: list[BusSubscription] = []
+        #: job id -> its newest ``maxsize`` events, oldest first.
+        self._backlogs: dict[str, deque] = {}
+        #: finished job ids, oldest first (a dict as an ordered set).
+        self._finished: dict[str, None] = {}
 
     # ------------------------------------------------------------------
     def subscribe(
@@ -127,11 +147,16 @@ class MetricsBus:
         types: Optional[tuple] = None,
         maxsize: Optional[int] = None,
     ) -> BusSubscription:
+        """A new subscription; ``job`` subscriptions start with its backlog."""
         subscription = BusSubscription(
             job=job, types=types,
             maxsize=self.maxsize if maxsize is None else maxsize,
         )
         with self._lock:
+            # Only job events are remembered, so ``job=None`` replays nothing.
+            for event in self._backlogs.get(job, ()):
+                if subscription.wants(event):
+                    subscription.offer(event)
             self._subscribers.append(subscription)
         return subscription
 
@@ -155,11 +180,28 @@ class MetricsBus:
             self._seq += 1
             event = {"seq": self._seq, "type": type, "job": job, "data": data}
             self.published += 1
+            if job is not None:
+                self._remember(job, event)
             subscribers = list(self._subscribers)
         for subscription in subscribers:
             if not subscription.closed and subscription.wants(event):
                 subscription.offer(event)
         return event
+
+    def _remember(self, job: str, event: dict) -> None:
+        """Append ``event`` to ``job``'s backlog (caller holds the lock)."""
+        backlog = self._backlogs.get(job)
+        if backlog is None:
+            backlog = self._backlogs[job] = deque(maxlen=self.maxsize)
+        backlog.append(event)
+        if event["type"] == "job" and event["data"].get("state") in _FINISHED_STATES:
+            finished = self._finished
+            finished.pop(job, None)
+            finished[job] = None
+            while len(finished) > KEEP_FINISHED:
+                oldest = next(iter(finished))
+                del finished[oldest]
+                del self._backlogs[oldest]
 
     # ------------------------------------------------------------------
     @property

@@ -1,12 +1,18 @@
 """Content-addressed on-disk result cache.
 
-Layout (all JSON, human-inspectable)::
+Layout (all JSON)::
 
     <root>/
       <key[:2]>/<key>.json         one cached cell result
       <key[:2]>/<key>.prof         optional cProfile dump (``--profile``)
       <key[:2]>/<key>.trace.jsonl  optional repro.obs trace (``--trace``)
       manifest.json                last sweep's summary + failure ledger
+
+Entries and the manifest are written compact (no indentation): the
+manifest is re-encoded once per sweep and grows with every cached cell,
+and only compact output goes through ``json``'s C encoder.  To read one
+by eye, ``python -m repro.parallel status --json`` pretty-prints the
+manifest.
 
 An entry stores the task spec it answers for, the code-version token it
 was computed under, the result payload, and a SHA-256 checksum over the
@@ -237,7 +243,7 @@ class ResultCache:
             merged = _merge_manifests(self.read_manifest(), manifest)
             atomic_write_text(
                 self.manifest_path,
-                json.dumps(merged, indent=2, sort_keys=True),
+                json.dumps(merged, sort_keys=True, separators=(",", ":")),
             )
         return self.manifest_path
 

@@ -26,6 +26,8 @@ Streams accept ``?limit=N`` (close after N bus events) and ``?idle=S``
 terminate deterministically.  A stream always opens with a synthetic
 ``state`` event carrying the current job record (or, on the firehose,
 the service stats), so late subscribers see terminal jobs immediately.
+A job stream then replays the job's bus backlog, so the frames published
+before the client connected arrive too (:class:`~repro.obs.bus.MetricsBus`).
 
 Wall-clock readings here are confined to connection plumbing (idle
 timeouts, heartbeat pacing) — they never feed a simulation, hence the
@@ -71,6 +73,11 @@ def make_server(
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: headers and body, and every SSE frame, go out in
+    # separate small writes.  With Nagle on, a write sent while the
+    # previous one is unacknowledged waits for the peer's delayed ACK.
+    disable_nagle_algorithm = True
+
     # quiet: one log line per request is noise under SSE + polling tests
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass

@@ -1,8 +1,10 @@
 """MetricsBus: fan-out, filtering, bounded lossy queues, thread safety."""
 
+import sys
 import threading
 
 from repro.obs import BusSubscription, MetricsBus
+from repro.obs.bus import KEEP_FINISHED
 
 
 class TestSubscription:
@@ -98,3 +100,113 @@ class TestBus:
         assert len(events) == 800
         # every sequence number 1..800 assigned exactly once
         assert sorted(e["seq"] for e in events) == list(range(1, 801))
+
+
+def _finish(bus, job):
+    return bus.publish("job", {"state": "done"}, job=job)
+
+
+class TestBacklog:
+    """A job subscriber that joins late still sees every job frame once."""
+
+    def test_publish_before_subscribe_is_replayed_in_order(self):
+        bus = MetricsBus()
+        bus.publish("job", {"state": "queued"}, job="job-1")
+        bus.publish("progress", {"n": 1}, job="job-1")
+        bus.publish("progress", {"n": 1}, job="job-2")
+        bus.publish("tick", {})  # job-less broadcasts are not kept
+        sub = bus.subscribe(job="job-1")
+        bus.publish("progress", {"n": 2}, job="job-1")
+        _finish(bus, "job-1")
+        events = sub.drain()
+        assert [e["type"] for e in events] == ["job", "progress", "progress", "job"]
+        seqs = [e["seq"] for e in events]
+        assert seqs == sorted(set(seqs))  # ordered, no duplicates
+        assert sub.dropped == 0
+
+    def test_replay_honours_the_type_filter(self):
+        bus = MetricsBus()
+        bus.publish("job", {"state": "queued"}, job="job-1")
+        bus.publish("progress", {"n": 1}, job="job-1")
+        sub = bus.subscribe(job="job-1", types=("progress",))
+        assert [e["type"] for e in sub.drain()] == ["progress"]
+
+    def test_firehose_gets_no_replay(self):
+        bus = MetricsBus()
+        bus.publish("progress", {"n": 1}, job="job-1")
+        assert bus.subscribe().drain() == []
+
+    def test_backlog_is_capped_at_the_queue_size_keeping_the_newest(self):
+        bus = MetricsBus(maxsize=4)
+        for n in range(10):
+            bus.publish("progress", {"n": n}, job="job-1")
+        _finish(bus, "job-1")
+        events = bus.subscribe(job="job-1").drain()
+        assert [e["data"].get("n") for e in events] == [7, 8, 9, None]
+        assert events[-1]["data"]["state"] == "done"
+
+    def test_only_the_newest_finished_backlogs_are_kept(self):
+        bus = MetricsBus()
+        jobs = [f"job-{n}" for n in range(KEEP_FINISHED + 1)]
+        for job in jobs:
+            bus.publish("progress", {}, job=job)
+        bus.publish("progress", {}, job="job-active")
+        for job in jobs:
+            _finish(bus, job)
+        assert bus.subscribe(job=jobs[0]).drain() == []
+        for job in jobs[1:]:
+            assert len(bus.subscribe(job=job).drain()) == 2
+        # an active job's backlog is never evicted
+        assert len(bus.subscribe(job="job-active").drain()) == 1
+
+    def test_a_failed_job_counts_as_finished(self):
+        bus = MetricsBus()
+        bus.publish("job", {"state": "failed"}, job="job-failed")
+        for n in range(KEEP_FINISHED):
+            _finish(bus, f"job-{n}")
+        assert bus.subscribe(job="job-failed").drain() == []
+        assert len(bus.subscribe(job="job-0").drain()) == 1
+
+    def test_replay_into_a_small_queue_drops_and_counts(self):
+        bus = MetricsBus()
+        for n in range(3):
+            bus.publish("progress", {"n": n}, job="job-1")
+        sub = bus.subscribe(job="job-1", maxsize=1)
+        assert [e["data"]["n"] for e in sub.drain()] == [0]
+        assert sub.dropped == 2
+
+    def test_subscribes_racing_publishes_lose_and_duplicate_nothing(self):
+        bus = MetricsBus()
+        for _ in range(100):
+            bus.publish("progress", {}, job="job-1")
+        start = threading.Barrier(7)
+        subs = []
+
+        def publisher():
+            start.wait()
+            for _ in range(100):
+                bus.publish("progress", {}, job="job-1")
+                bus.publish("progress", {}, job="job-2")
+
+        def subscriber():
+            start.wait()
+            subs.append(bus.subscribe(job="job-1"))
+
+        threads = [threading.Thread(target=publisher) for _ in range(4)]
+        threads += [threading.Thread(target=subscriber) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(subs) == 3
+        for sub in subs:
+            events = sub.drain()
+            assert len(events) == 500 and sub.dropped == 0
+            assert len({e["seq"] for e in events}) == 500
+            assert {e["job"] for e in events} == {"job-1"}

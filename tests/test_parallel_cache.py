@@ -108,3 +108,36 @@ class TestInspection:
         assert cache.read_manifest() is None
         cache.write_manifest({"executed": 3, "failures": []})
         assert cache.read_manifest() == {"executed": 3, "failures": []}
+
+
+class TestManifestFormat:
+    """The manifest is written compact; older indented ones still merge."""
+
+    OLD = {
+        "executed": 1, "cache_hits": 0, "all_ok": True,
+        "outcomes": [{"key": "a", "status": "ok"}],
+        "failures": [],
+    }
+    NEW = {
+        "executed": 1, "cache_hits": 0, "all_ok": True,
+        "outcomes": [{"key": "b", "status": "ok"}],
+        "failures": [],
+    }
+
+    def test_compact_write_round_trips(self, cache):
+        cache.write_manifest(self.NEW)
+        raw = cache.manifest_path.read_text(encoding="utf-8")
+        assert "\n" not in raw and ": " not in raw and ", " not in raw
+        assert cache.read_manifest() == self.NEW
+
+    def test_indented_manifest_on_disk_reads_and_merges(self, cache):
+        cache.root.mkdir(parents=True)
+        cache.manifest_path.write_text(
+            json.dumps(self.OLD, indent=2, sort_keys=True), encoding="utf-8"
+        )
+        assert cache.read_manifest() == self.OLD
+        cache.write_manifest(self.NEW)
+        merged = cache.read_manifest()
+        assert [o["key"] for o in merged["outcomes"]] == ["a", "b"]
+        assert merged["executed"] == 2
+        assert merged["all_ok"] is True

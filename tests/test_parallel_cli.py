@@ -97,3 +97,15 @@ class TestVerify:
             "--seeds", "1", "--repetitions", "2", "--workers", "2",
         ) == 0
         assert "DETERMINISTIC" in capsys.readouterr().out
+
+
+def test_status_json_pretty_prints_the_compact_manifest(tmp_path, capsys):
+    from repro.parallel.cache import ResultCache
+
+    cache = ResultCache(tmp_path / "cache")
+    manifest = {"executed": 2, "outcomes": [{"key": "a", "status": "ok"}]}
+    cache.write_manifest(manifest)
+    assert "\n" not in cache.manifest_path.read_text(encoding="utf-8")
+    assert run_cli("status", "--cache-dir", str(cache.root), "--json") == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(manifest, indent=2, sort_keys=True) + "\n"

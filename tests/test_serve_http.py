@@ -189,3 +189,34 @@ class TestEndToEnd:
         reloaded = JobStore(service.store._journal_path)
         assert done_ids <= {j.id for j in reloaded.list()}
         reloaded.close()
+
+
+def test_accepted_sockets_have_tcp_nodelay(monkeypatch, tmp_path):
+    import socket
+
+    from repro.serve.http import _Handler
+
+    seen = []
+    original_handle = _Handler.handle
+
+    def handle(self):
+        seen.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        original_handle(self)
+
+    monkeypatch.setattr(_Handler, "handle", handle)
+    service = SimulationService(journal_path=str(tmp_path / "jobs.jsonl"))
+    httpd = make_server(service, host="127.0.0.1", port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        assert _get(f"http://127.0.0.1:{httpd.server_address[1]}", "/healthz") == {
+            "ok": True
+        }
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        service.stop()
+    assert _Handler.disable_nagle_algorithm is True
+    assert len(seen) == 1 and seen[0] != 0
