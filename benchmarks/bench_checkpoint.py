@@ -29,11 +29,8 @@ import time
 from pathlib import Path
 
 from repro.analysis.replay import run_scenario
-from repro.checkpoint.runner import (
-    build_context,
-    load_scenario_checkpoint,
-    save_scenario_checkpoint,
-)
+from repro.checkpoint.runner import load_scenario_checkpoint, save_scenario_checkpoint
+from repro.scenario import build_task, finish
 
 #: (mesh_side, repetitions) points spanning small to sweep-sized cells.
 SIZES = ((4, 3), (6, 10), (6, 40))
@@ -62,7 +59,7 @@ def profile_size(mesh_side: int, repetitions: int, repeats: int, tmp: Path) -> d
     """Snapshot size + save/restore latency for one scenario size."""
     params = {"policy": "pr-drb", "seed": 0, "mesh_side": mesh_side,
               "repetitions": repetitions}
-    context = build_context("replay", params)
+    context = build_task("replay", params)
     context.sim.run(until=context.until / 2)
     path = tmp / f"size_{mesh_side}x{repetitions}.ckpt"
 
@@ -81,9 +78,7 @@ def profile_size(mesh_side: int, repetitions: int, repeats: int, tmp: Path) -> d
 def _run_with_cadence(params: dict, cadence, tmp: Path):
     """Run one replay cell, optionally checkpointing every ``cadence``
     events exactly as a resumable worker does; returns (digests, rate)."""
-    from repro.analysis.replay import finish_scenario
-
-    context = build_context("replay", params)
+    context = build_task("replay", params)
     if cadence:
         path = tmp / "cadence.ckpt"
         context.sim.set_checkpoint_cadence(
@@ -94,7 +89,7 @@ def _run_with_cadence(params: dict, cadence, tmp: Path):
     elapsed = time.process_time() - start
     executed = context.sim.events_executed
     context.sim.set_checkpoint_cadence(None)
-    result = finish_scenario(context).to_dict()
+    result = finish(context)
     return result, (executed / elapsed if elapsed > 0 else 0.0), executed
 
 
@@ -159,14 +154,12 @@ def main(argv=None) -> int:
         tmp = Path(tmpdir)
         params = {"policy": "pr-drb", "seed": 0, "mesh_side": 4, "repetitions": 3}
         reference = run_scenario(**params).to_dict()
-        context = build_context("replay", params)
+        context = build_task("replay", params)
         context.sim.run(until=context.until / 2)
         save_scenario_checkpoint(context, tmp / "smoke.ckpt")
-        from repro.analysis.replay import finish_scenario
-
         _, resumed = load_scenario_checkpoint(tmp / "smoke.ckpt")
         resumed.sim.run(until=resumed.until)
-        assert finish_scenario(resumed).to_dict() == reference, "resume drift"
+        assert finish(resumed) == reference, "resume drift"
 
         sizes = [profile_size(m, r, args.repeats, tmp) for m, r in SIZES]
         cadence = cadence_overhead(args.repeats, tmp)

@@ -33,10 +33,7 @@ __all__ = [
     "RunDigest",
     "ReplayReport",
     "EventTraceDigest",
-    "ScenarioContext",
-    "build_scenario",
     "digest_metrics",
-    "finish_scenario",
     "run_scenario",
     "check_determinism",
     "main",
@@ -53,6 +50,18 @@ class RunDigest:
     metrics: str
     events_executed: int
     packets_delivered: int
+
+    @classmethod
+    def from_context(cls, context) -> "RunDigest":
+        """Digest a :class:`repro.scenario.Context` whose run completed."""
+        return cls(
+            seed=context.spec.seed,
+            policy=context.spec.policy,
+            events=context.trace.hexdigest(),
+            metrics=digest_metrics(context.fabric, context.recorder, context.policy),
+            events_executed=context.sim.events_executed,
+            packets_delivered=context.fabric.data_packets_delivered,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -171,185 +180,19 @@ def digest_metrics(fabric, recorder, policy) -> str:
     add_floats([recorder.global_average_latency_s])
     # Policy statistics: a plain dict of counters/floats; sort for a
     # canonical order and hash floats exactly.
-    for key in sorted(policy.stats()):
-        value = policy.stats()[key]
+    stats = policy.stats()
+    for key in sorted(stats):
+        value = stats[key]
         add_text(f"{key}=")
         if isinstance(value, float):
             add_floats([value])
         else:
             add_text(repr(value))
-    for router_id in sorted(fabric.contention_map()):
+    contention = fabric.contention_map()
+    for router_id in sorted(contention):
         add_text(f"router{router_id}=")
-        add_floats([fabric.contention_map()[router_id]])
+        add_floats([contention[router_id]])
     return sha.hexdigest()
-
-
-@dataclass
-class ScenarioContext:
-    """A fully built replay scenario: workload started, clock not yet run.
-
-    ``run_scenario`` is ``build_scenario`` → ``sim.run(until)`` →
-    ``finish_scenario``; the split exists so :mod:`repro.checkpoint` can
-    stop anywhere in the middle, snapshot the live graph, and a restored
-    process can finish the run and produce the same :class:`RunDigest`.
-    """
-
-    seed: int
-    policy: str
-    mesh_side: int
-    repetitions: int
-    until: float
-    sim: object
-    streams: object
-    trace: EventTraceDigest
-    recorder: object
-    policy_obj: object
-    fabric: object
-    workload: object
-    invariants: object = None
-
-    def checkpoint_roots(self) -> dict:
-        """The named object-graph roots a checkpoint payload carries."""
-        return {
-            "kind": "replay",
-            "params": {
-                "seed": self.seed,
-                "policy": self.policy,
-                "mesh_side": self.mesh_side,
-                "repetitions": self.repetitions,
-            },
-            "until": self.until,
-            "sim": self.sim,
-            "streams": self.streams,
-            "trace": self.trace,
-            "recorder": self.recorder,
-            "policy_obj": self.policy_obj,
-            "fabric": self.fabric,
-            "workload": self.workload,
-        }
-
-    @classmethod
-    def from_checkpoint_roots(cls, roots: dict) -> "ScenarioContext":
-        params = roots["params"]
-        return cls(
-            seed=int(params["seed"]),
-            policy=str(params["policy"]),
-            mesh_side=int(params["mesh_side"]),
-            repetitions=int(params["repetitions"]),
-            until=float(roots["until"]),
-            sim=roots["sim"],
-            streams=roots["streams"],
-            trace=roots["trace"],
-            recorder=roots["recorder"],
-            policy_obj=roots["policy_obj"],
-            fabric=roots["fabric"],
-            workload=roots["workload"],
-        )
-
-
-def build_scenario(
-    seed: int = 0,
-    policy: str = "pr-drb",
-    mesh_side: int = 4,
-    repetitions: int = 3,
-    with_invariants: bool = False,
-    tracer=None,
-    metrics=None,
-    metrics_cadence_s: float | None = None,
-) -> ScenarioContext:
-    """Construct (but do not run) the seeded small-mesh hot-spot scenario.
-
-    Construction order is load-bearing: the initial event schedule and
-    RNG stream creation must match the historical ``run_scenario`` body
-    exactly, or the event digests shift.
-    """
-    from repro.metrics.recorder import StatsRecorder
-    from repro.network.config import NetworkConfig
-    from repro.network.fabric import Fabric
-    from repro.routing import make_policy
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import RandomStreams
-    from repro.topology.mesh import Mesh2D
-    from repro.traffic.bursty import BurstSchedule
-    from repro.traffic.generators import HotSpotFlow, HotSpotWorkload
-
-    streams = RandomStreams(seed)
-    sim = Simulator()
-    trace = EventTraceDigest().install(sim)
-    recorder = StatsRecorder(window_s=2.5e-5)
-    try:
-        policy_obj = make_policy(policy, rng=streams.stream("routing"))
-    except TypeError:
-        # Policies without a random component (e.g. deterministic).
-        policy_obj = make_policy(policy)
-    fabric = Fabric(
-        Mesh2D(mesh_side),
-        NetworkConfig(),
-        policy_obj,
-        sim,
-        recorder=recorder,
-        notification="router",
-    )
-    if tracer is not None or metrics is not None:
-        from repro.obs import instrument
-
-        instrument(fabric, tracer, metrics, cadence_s=metrics_cadence_s)
-    invariants = None
-    if with_invariants:
-        from repro.analysis.invariants import DebugInvariants
-
-        invariants = DebugInvariants(fabric).install()
-
-    n = fabric.topology.num_hosts
-    # Colliding flows: two columns funnel into the same destination column.
-    flows = [
-        HotSpotFlow(0, n - mesh_side + 1),
-        HotSpotFlow(mesh_side, n - mesh_side + 1),
-        HotSpotFlow(1, n - 1),
-    ]
-    schedule = BurstSchedule(on_s=1.5e-4, off_s=1.5e-4, repetitions=repetitions)
-    stop = schedule.end_time()
-    workload = HotSpotWorkload(
-        fabric,
-        flows,
-        rate_bps=1.2e9,
-        schedule=schedule,
-        stop_s=stop,
-        noise_hosts=range(n),
-        noise_rate_bps=3e7,
-        rng=streams.stream("noise"),
-        idle_rate_bps=2e8,
-    )
-    workload.start()
-    return ScenarioContext(
-        seed=seed,
-        policy=policy,
-        mesh_side=mesh_side,
-        repetitions=repetitions,
-        until=stop + 4e-4,
-        sim=sim,
-        streams=streams,
-        trace=trace,
-        recorder=recorder,
-        policy_obj=policy_obj,
-        fabric=fabric,
-        workload=workload,
-        invariants=invariants,
-    )
-
-
-def finish_scenario(context: ScenarioContext) -> RunDigest:
-    """Digest a scenario whose clock has reached ``context.until``."""
-    if context.invariants is not None:
-        context.invariants.check()
-    return RunDigest(
-        seed=context.seed,
-        policy=context.policy,
-        events=context.trace.hexdigest(),
-        metrics=digest_metrics(context.fabric, context.recorder, context.policy_obj),
-        events_executed=context.sim.events_executed,
-        packets_delivered=context.fabric.data_packets_delivered,
-    )
 
 
 def run_scenario(
@@ -374,18 +217,18 @@ def run_scenario(
     are identical with or without it — ``repro.obs selftest`` checks
     exactly that through this entry point.
     """
-    context = build_scenario(
-        seed=seed,
-        policy=policy,
-        mesh_side=mesh_side,
-        repetitions=repetitions,
+    from repro.scenario import build, task_scenario
+
+    params = {"seed": seed, "policy": policy, "mesh_side": mesh_side, "repetitions": repetitions}
+    context = build(
+        task_scenario("replay", params),
         with_invariants=with_invariants,
         tracer=tracer,
         metrics=metrics,
         metrics_cadence_s=metrics_cadence_s,
     )
-    context.sim.run(until=context.until)
-    return finish_scenario(context)
+    context.run()
+    return RunDigest.from_context(context)
 
 
 def check_determinism(

@@ -39,12 +39,9 @@ from repro.checkpoint.state import (
 #: ``repro.checkpoint.state`` at class-definition time; importing it
 #: eagerly here would close that loop into a circular import.
 _RUNNER_EXPORTS = (
-    "build_context",
     "code_version",
-    "finish_context",
     "load_scenario_checkpoint",
     "save_scenario_checkpoint",
-    "scenario_kinds",
 )
 
 
@@ -62,15 +59,12 @@ __all__ = [
     "MAGIC",
     "SnapshotError",
     "Snapshottable",
-    "build_context",
     "code_version",
     "find_latest",
-    "finish_context",
     "load_scenario_checkpoint",
     "read_header",
     "read_payload",
     "save_scenario_checkpoint",
-    "scenario_kinds",
     "snapshot_excluded_names",
     "snapshot_field_names",
     "write_checkpoint",

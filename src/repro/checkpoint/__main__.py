@@ -5,14 +5,16 @@ Commands:
 ``save``     build a pinned scenario, run it partway, write a checkpoint;
 ``restore``  load a checkpoint, run it to completion, print the digests;
 ``info``     print a checkpoint's header (never unpickles the payload);
-``verify``   prove interrupt-anywhere: for each policy, compare an
-             uninterrupted run's digests against snapshot → restore in a
-             **fresh process** → run-to-end.  Exit 0 only on bit-identity.
+``verify``   prove interrupt-anywhere: for each simulation task kind and
+             policy, compare an uninterrupted run's result against
+             snapshot → restore in a **fresh process** → run-to-end.
+             Exit 0 only on bit-identity.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -21,12 +23,10 @@ import tempfile
 from pathlib import Path
 
 from repro.checkpoint.format import CheckpointCorrupt, read_header
-from repro.checkpoint.runner import (
-    build_context,
-    load_scenario_checkpoint,
-    save_scenario_checkpoint,
-)
+from repro.checkpoint.runner import load_scenario_checkpoint, save_scenario_checkpoint
 from repro.checkpoint.state import SnapshotError
+from repro.parallel.tasks import SimTask, canonical_json
+from repro.scenario import KINDS, build_task, finish, run_task
 
 #: the acceptance campaign's policy set (the DRB family plus the
 #: notification-driven adaptive family, which carries zone-pair state
@@ -38,8 +38,8 @@ _VERIFY_POLICIES = (
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--kind", choices=("replay", "fault"), default="replay",
-        help="scenario family to build (default: replay)",
+        "--kind", choices=KINDS, default="replay",
+        help="simulation task kind to build (default: replay)",
     )
     parser.add_argument("--policy", default="pr-drb")
     parser.add_argument("--seed", type=int, default=0)
@@ -51,17 +51,28 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _params(args: argparse.Namespace) -> dict:
+def _params(kind: str, policy: str, args: argparse.Namespace) -> dict:
+    """Pinned task params of ``kind`` on a ``--mesh-side`` mesh.  One set
+    serves both experiment kinds: each ignores the other's keys."""
+    if kind in ("replay", "fault"):
+        return {
+            "seed": args.seed, "policy": policy,
+            "mesh_side": args.mesh_side, "repetitions": args.repetitions,
+        }
+    side = args.mesh_side
+    n = side * side
     return {
-        "seed": args.seed,
-        "policy": args.policy,
-        "mesh_side": args.mesh_side,
-        "repetitions": args.repetitions,
+        "topology": f"mesh:{side}", "policy": policy, "seed": args.seed,
+        "rate_mbps": 1200, "idle_rate_mbps": 200, "drain_s": 4e-4,
+        "schedule": {"on_s": 1.5e-4, "off_s": 1.5e-4, "repetitions": args.repetitions},
+        "notification": "router", "track_routers": True,
+        "flows": [[0, n - side + 1], [side, n - side + 1], [1, n - 1]],
+        "noise_rate_mbps": 30, "pattern": "uniform",
     }
 
 
 def _cmd_save(args: argparse.Namespace) -> int:
-    context = build_context(args.kind, _params(args))
+    context = build_task(args.kind, _params(args.kind, args.policy, args))
     if not 0.0 <= args.fraction < 1.0:
         print("error: --fraction must be in [0, 1)", file=sys.stderr)
         return 2
@@ -83,10 +94,8 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     except (CheckpointCorrupt, SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    context.sim.run(until=context.until)
-    from repro.checkpoint.runner import finish_context
-
-    result = finish_context(context)
+    context.run()
+    result = finish(context)
     print(json.dumps(result, indent=None if args.json else 2))
     return 0
 
@@ -101,31 +110,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reference_result(kind: str, params: dict) -> dict:
-    context = build_context(kind, params)
-    context.sim.run(until=context.until)
-    from repro.checkpoint.runner import finish_context
-
-    return finish_context(context)
-
-
-def _digest_keys(kind: str) -> tuple[str, str]:
-    if kind == "replay":
-        return "events", "metrics"
-    return "events_digest", "metrics_digest"
-
-
 def _verify_one(
     kind: str, policy: str, args: argparse.Namespace, tmpdir: Path
 ) -> tuple[bool, str]:
-    params = {
-        "seed": args.seed,
-        "policy": policy,
-        "mesh_side": args.mesh_side,
-        "repetitions": args.repetitions,
-    }
-    reference = _reference_result(kind, params)
-    context = build_context(kind, params)
+    params = _params(kind, policy, args)
+    reference = run_task(SimTask(kind, params))
+    context = build_task(kind, params)
     context.sim.run(until=context.until * args.fraction)
     path = tmpdir / f"{kind}-{policy}.ckpt"
     save_scenario_checkpoint(context, path, meta={"policy": policy})
@@ -139,29 +129,23 @@ def _verify_one(
     )
     if proc.returncode != 0:
         return False, f"{kind}/{policy}: restore failed: {proc.stderr.strip()}"
+    # The whole result must survive: canonical JSON compares every float
+    # by its exact repr, so this is bit-identity of every reported value.
     resumed = json.loads(proc.stdout)
-    ev_key, mt_key = _digest_keys(kind)
-    checks = (
-        ("event digest", reference[ev_key], resumed[ev_key]),
-        ("metric digest", reference[mt_key], resumed[mt_key]),
-        (
-            "events executed",
-            reference["events_executed"],
-            resumed["events_executed"],
-        ),
-    )
-    for label, want, got in checks:
-        if want != got:
-            return False, (
-                f"{kind}/{policy}: {label} diverged after resume "
-                f"(uninterrupted {want!r} != resumed {got!r})"
-            )
-    return True, f"{kind}/{policy}: resume bit-identical ({reference[ev_key][:16]}…)"
+    want = canonical_json(reference)
+    if want != canonical_json(resumed):
+        diverged = sorted(
+            key for key in reference
+            if canonical_json(reference[key]) != canonical_json(resumed.get(key))
+        )
+        return False, f"{kind}/{policy}: {', '.join(diverged)} diverged after resume"
+    fingerprint = hashlib.sha256(want.encode("utf-8")).hexdigest()
+    return True, f"{kind}/{policy}: resume bit-identical ({fingerprint[:16]}…)"
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     policies = args.policies or list(_VERIFY_POLICIES)
-    kinds = [args.kind] if args.kind else ["replay", "fault"]
+    kinds = [args.kind] if args.kind else list(KINDS)
     failures = 0
     with tempfile.TemporaryDirectory(prefix="repro-ckpt-verify-") as tmp:
         for kind in kinds:
@@ -204,8 +188,8 @@ def main(argv: list[str] | None = None) -> int:
         "verify", help="prove interrupt-anywhere resume equivalence"
     )
     p_verify.add_argument(
-        "--kind", choices=("replay", "fault"), default=None,
-        help="restrict to one scenario family (default: both)",
+        "--kind", choices=KINDS, default=None,
+        help="restrict to one simulation task kind (default: all)",
     )
     p_verify.add_argument(
         "--policies", nargs="*", default=None,

@@ -1,12 +1,9 @@
 """Scenario-level checkpoint orchestration.
 
-Glue between the envelope (:mod:`repro.checkpoint.format`) and the two
-scenario families that know how to enumerate their stateful roots:
-
-* ``replay`` — the seeded hot-spot replay harness
-  (:class:`repro.analysis.replay.ScenarioContext`);
-* ``fault`` — the fault-injection campaign
-  (:class:`repro.faults.campaign.FaultScenarioContext`).
+Glue between the envelope (:mod:`repro.checkpoint.format`) and
+:class:`repro.scenario.Context`, which enumerates its stateful roots the
+same way for every simulation task kind (``replay``, ``fault``,
+``hotspot``, ``pattern``).
 
 A checkpoint is **one** pickle image of the context's named roots plus
 the process-global packet-id counter, so every shared identity in the
@@ -28,16 +25,10 @@ from repro.checkpoint.state import SnapshotError
 from repro.network.packet import pid_counter_value, set_pid_counter
 
 __all__ = [
-    "build_context",
     "code_version",
-    "finish_context",
     "load_scenario_checkpoint",
     "save_scenario_checkpoint",
-    "scenario_kinds",
 ]
-
-#: checkpoint kinds this runner can build and resume.
-_KINDS = ("replay", "fault")
 
 
 def code_version() -> str:
@@ -45,50 +36,6 @@ def code_version() -> str:
     import repro
 
     return repro.__version__
-
-
-def scenario_kinds() -> tuple[str, ...]:
-    return _KINDS
-
-
-def build_context(kind: str, params: dict):
-    """Construct a not-yet-run scenario context for ``kind``."""
-    if kind == "replay":
-        from repro.analysis.replay import build_scenario
-
-        return build_scenario(
-            seed=int(params.get("seed", 0)),
-            policy=str(params.get("policy", "pr-drb")),
-            mesh_side=int(params.get("mesh_side", 4)),
-            repetitions=int(params.get("repetitions", 3)),
-        )
-    if kind == "fault":
-        from repro.faults.campaign import FaultCampaignSpec, build_fault_scenario
-        from repro.network.config import ReliabilityConfig
-
-        spec_data = params.get("spec")
-        if spec_data is not None:
-            spec_data = dict(spec_data)
-            reliability = spec_data.get("reliability")
-            if isinstance(reliability, dict):
-                spec_data["reliability"] = ReliabilityConfig(**reliability)
-            spec = FaultCampaignSpec(**spec_data)
-        else:
-            spec = FaultCampaignSpec(seed=int(params.get("seed", 0)))
-        return build_fault_scenario(str(params.get("policy", "pr-drb")), spec)
-    raise SnapshotError(f"unknown scenario kind {kind!r} (expected {_KINDS})")
-
-
-def finish_context(context) -> dict:
-    """Run-complete bookkeeping; returns the JSON-ready digest result."""
-    from repro.analysis.replay import ScenarioContext, finish_scenario
-    from repro.faults.campaign import FaultScenarioContext, finish_fault_scenario
-
-    if isinstance(context, ScenarioContext):
-        return finish_scenario(context).to_dict()
-    if isinstance(context, FaultScenarioContext):
-        return finish_fault_scenario(context).to_dict()
-    raise SnapshotError(f"unknown context type {type(context).__qualname__}")
 
 
 def save_scenario_checkpoint(
@@ -126,16 +73,7 @@ def load_scenario_checkpoint(
     if expect_code_version == "current":
         expect_code_version = code_version()
     header, roots = read_payload(path, expect_code_version=expect_code_version)
-    if not isinstance(roots, dict) or "kind" not in roots:
+    if not isinstance(roots, dict) or "context" not in roots:
         raise SnapshotError(f"{path}: payload is not a scenario checkpoint")
-    set_pid_counter(roots.pop("pid_counter"))
-    kind = roots["kind"]
-    if kind == "replay":
-        from repro.analysis.replay import ScenarioContext
-
-        return header, ScenarioContext.from_checkpoint_roots(roots)
-    if kind == "fault":
-        from repro.faults.campaign import FaultScenarioContext
-
-        return header, FaultScenarioContext.from_checkpoint_roots(roots)
-    raise SnapshotError(f"{path}: unknown checkpoint kind {kind!r}")
+    set_pid_counter(roots["pid_counter"])
+    return header, roots["context"]

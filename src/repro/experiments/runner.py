@@ -15,17 +15,12 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.experiments.stats import ConfidenceInterval, confidence_interval
-from repro.metrics.recorder import StatsRecorder
 from repro.network.config import NetworkConfig
-from repro.network.fabric import DESTINATION_BASED, Fabric
+from repro.network.fabric import DESTINATION_BASED
 from repro.mpi.runtime import TraceRuntime
-from repro.routing import make_policy
-from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
+from repro.scenario import Scenario, build, task_scenario
 from repro.topology.base import Topology
 from repro.traffic.bursty import BurstSchedule
-from repro.traffic.generators import HotSpotFlow, HotSpotWorkload, SyntheticTrafficSource
-from repro.traffic.patterns import make_pattern
 
 
 @dataclass
@@ -64,6 +59,26 @@ class PolicyRun:
             "exec_time_ms": round(self.execution_time_s * 1e3, 4),
             "accepted": round(self.accepted_ratio, 3),
         }
+
+    @classmethod
+    def from_context(cls, context, execution_time_s: float) -> "PolicyRun":
+        """Measure a :class:`repro.scenario.Context` whose run completed."""
+        recorder = context.recorder
+        fabric = context.fabric
+        return cls(
+            policy_name=context.spec.policy,
+            global_latency_s=recorder.global_average_latency_s,
+            mean_latency_s=recorder.mean_latency_s,
+            p99_latency_s=recorder.latency_percentile(99),
+            execution_time_s=execution_time_s,
+            contention_map=fabric.contention_map(),
+            latency_series=recorder.latency_series.finalize(),
+            router_series={
+                rid: series.finalize() for rid, series in recorder.router_series.items()
+            },
+            policy_stats=fabric.policy.stats(),
+            accepted_ratio=fabric.accepted_ratio(),
+        )
 
     def to_dict(self) -> dict:
         """Lossless JSON form (Python floats round-trip bit-exactly).
@@ -170,29 +185,6 @@ def _average_runs(runs: list[PolicyRun]) -> PolicyRun:
     )
 
 
-def _collect(
-    fabric: Fabric,
-    recorder: StatsRecorder,
-    policy_name: str,
-    execution_time_s: float,
-) -> PolicyRun:
-    router_series = {
-        rid: series.finalize() for rid, series in recorder.router_series.items()
-    }
-    return PolicyRun(
-        policy_name=policy_name,
-        global_latency_s=recorder.global_average_latency_s,
-        mean_latency_s=recorder.mean_latency_s,
-        p99_latency_s=recorder.latency_percentile(99),
-        execution_time_s=execution_time_s,
-        contention_map=fabric.contention_map(),
-        latency_series=recorder.latency_series.finalize(),
-        router_series=router_series,
-        policy_stats=fabric.policy.stats(),
-        accepted_ratio=fabric.accepted_ratio(),
-    )
-
-
 #: A topology is given either as a zero-arg factory (serial execution
 #: only) or as a declarative spec string like ``"mesh:8"`` /
 #: ``"fattree:4,3"`` (required for parallel execution — spec strings are
@@ -200,94 +192,62 @@ def _collect(
 TopologySpec = Union[str, Callable[[], Topology]]
 
 
-def _resolve_topology(topology: TopologySpec) -> Callable[[], Topology]:
-    if isinstance(topology, str):
-        from repro.parallel.tasks import make_topology
-
-        return lambda: make_topology(topology)
-    return topology
+def _instance(topology: TopologySpec) -> Optional[Topology]:
+    """A factory's fresh topology; None for a spec string (built from
+    the scenario)."""
+    return None if isinstance(topology, str) else topology()
 
 
-def _schedule_to_dict(schedule: Optional[BurstSchedule]) -> Optional[dict]:
-    if schedule is None:
-        return None
-    return {
-        "on_s": schedule.on_s,
-        "off_s": schedule.off_s,
-        "start_s": schedule.start_s,
-        "repetitions": schedule.repetitions,
-    }
-
-
-def _parallel_policy_sweep(
-    executor,
-    kind: str,
-    topology: TopologySpec,
-    policies: Sequence[str],
-    seeds: Sequence[int],
-    common_params: dict,
+def _policy_sweep(
+    kind: str, topology: TopologySpec, policies: Sequence[str], seeds: Sequence[int],
+    executor, tracer, metrics, metrics_cadence_s, config, **params,
 ) -> dict[str, PolicyRun]:
-    """Fan one (policy, seed) cell per task out to a sweep executor.
+    """Run the policy x seed grid, one ``kind`` task cell per (policy, seed).
 
-    Each worker executes the *same* serial code path below with a single
-    policy and a single seed, so per-cell results — and therefore the
-    seed averages — are bit-identical to a serial run.
+    A cell is the same :func:`repro.scenario.task_scenario` preset
+    whether it runs here or on ``executor`` (a
+    :class:`repro.parallel.SweepExecutor`), so per-cell results — and
+    therefore the seed averages — are bit-identical either way.
     """
-    from repro.parallel.tasks import SimTask
-
-    if not isinstance(topology, str):
+    if metrics is not None and executor is not None:
         raise ValueError(
-            "parallel execution needs a declarative topology spec string "
-            "(e.g. 'mesh:8'); zero-arg factories cannot be shipped to "
-            "worker processes"
+            "metrics registries cannot cross the process boundary; "
+            "drop executor= or attach metrics via the sweep's metrics_hook"
         )
-    tasks = [
-        SimTask(
-            kind=kind,
-            params={**common_params, "topology": topology, "policy": name, "seed": seed},
-            label=f"{kind}:{name}/seed{seed}",
-        )
+    spec_text = topology if isinstance(topology, str) else ""
+    params["config"] = None if config is None else asdict(config)
+    cells = [
+        {**params, "topology": spec_text, "policy": name, "seed": seed}
         for name in policies
         for seed in seeds
     ]
-    payloads = executor.run_strict(tasks)
-    results: dict[str, PolicyRun] = {}
-    for index, name in enumerate(policies):
-        runs = [
-            PolicyRun.from_dict(payloads[index * len(seeds) + offset])
-            for offset in range(len(seeds))
-        ]
-        results[name] = _average_runs(runs)
-    return results
+    if executor is not None and len(cells) > 1:
+        from repro.parallel.tasks import SimTask
 
-
-def _build(
-    topology_factory: TopologySpec,
-    policy_name: str,
-    config: Optional[NetworkConfig],
-    notification: str,
-    window_s: float,
-    track_routers: bool,
-    policy_kwargs: dict,
-    tracer=None,
-    metrics=None,
-    metrics_cadence_s=None,
-) -> tuple[Fabric, StatsRecorder, Simulator]:
-    sim = Simulator()
-    recorder = StatsRecorder(window_s=window_s, track_router_series=track_routers)
-    fabric = Fabric(
-        _resolve_topology(topology_factory)(),
-        config or NetworkConfig(),
-        make_policy(policy_name, **policy_kwargs),
-        sim,
-        recorder=recorder,
-        notification=notification,
-    )
-    if tracer is not None or metrics is not None:
-        from repro.obs import instrument
-
-        instrument(fabric, tracer, metrics=metrics, cadence_s=metrics_cadence_s)
-    return fabric, recorder, sim
+        if not spec_text:
+            raise ValueError(
+                "parallel execution needs a declarative topology spec string "
+                "(e.g. 'mesh:8'); zero-arg factories cannot be shipped to "
+                "worker processes"
+            )
+        payloads = executor.run_strict(
+            [SimTask(kind, cell, f"{kind}:{cell['policy']}/seed{cell['seed']}") for cell in cells]
+        )
+        runs = [PolicyRun.from_dict(payload) for payload in payloads]
+    else:
+        runs = []
+        for cell in cells:
+            context = build(
+                task_scenario(kind, cell), topology=_instance(topology), digest=False,
+                tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s,
+            )
+            context.run()
+            runs.append(PolicyRun.from_context(context, context.spec.stop()))
+    per_policy = len(seeds)
+    return {
+        name: _average_runs(runs[index * per_policy:(index + 1) * per_policy])
+        for index, name in enumerate(policies)
+    }
 
 
 def run_pattern_workload(
@@ -305,7 +265,6 @@ def run_pattern_workload(
     window_s: float = 50e-6,
     track_routers: bool = False,
     idle_rate_mbps: float = 0.0,
-    policy_kwargs: Optional[dict] = None,
     executor=None,
     tracer=None,
     metrics=None,
@@ -313,6 +272,7 @@ def run_pattern_workload(
 ) -> dict[str, PolicyRun]:
     """Permutation-traffic comparison (§4.6.3, Table 4.3 runs).
 
+    ``policies`` are policy spec strings (``"pr-drb:max_paths=4"``).
     ``executor`` (a :class:`repro.parallel.SweepExecutor`) fans the
     policy x seed grid out to worker processes; results are bit-identical
     to the serial loop.  Requires ``topology_factory`` to be a spec
@@ -324,56 +284,15 @@ def run_pattern_workload(
     Registries hold live callables, so they are serial-only: combining
     ``metrics`` with ``executor`` raises.
     """
-    if metrics is not None and executor is not None:
-        raise ValueError(
-            "metrics registries cannot cross the process boundary; "
-            "drop executor= or attach metrics via the sweep's metrics_hook"
-        )
-    if executor is not None and len(policies) * len(seeds) > 1:
-        return _parallel_policy_sweep(
-            executor, "pattern", topology_factory, policies, seeds,
-            {
-                "pattern": pattern,
-                "rate_mbps": rate_mbps,
-                "hosts": None if hosts is None else [int(h) for h in hosts],
-                "schedule": _schedule_to_dict(schedule),
-                "duration_s": duration_s,
-                "drain_s": drain_s,
-                "config": None if config is None else asdict(config),
-                "notification": notification,
-                "window_s": window_s,
-                "track_routers": track_routers,
-                "idle_rate_mbps": idle_rate_mbps,
-                "policy_kwargs": policy_kwargs,
-            },
-        )
-    results: dict[str, PolicyRun] = {}
-    for name in policies:
-        runs = []
-        for seed in seeds:
-            fabric, recorder, sim = _build(
-                topology_factory, name, config, notification,
-                window_s, track_routers, policy_kwargs or {}, tracer=tracer,
-                metrics=metrics, metrics_cadence_s=metrics_cadence_s,
-            )
-            streams = RandomStreams(seed)
-            host_list = list(hosts) if hosts is not None else list(
-                range(1 << (fabric.topology.num_hosts.bit_length() - 1))
-            )
-            pat_nodes = 1 << (len(host_list).bit_length() - 1)
-            pat = make_pattern(pattern, pat_nodes, rng=streams.stream("pattern"))
-            sched = schedule or BurstSchedule(on_s=duration_s, off_s=0.0)
-            stop = sched.end_time() or duration_s
-            source = SyntheticTrafficSource(
-                fabric, pat, hosts=host_list[:pat_nodes], rate_bps=rate_mbps * 1e6,
-                schedule=sched, stop_s=stop, rng=streams.stream("traffic"),
-                idle_rate_bps=idle_rate_mbps * 1e6,
-            )
-            source.start()
-            sim.run(until=stop + drain_s)
-            runs.append(_collect(fabric, recorder, name, stop))
-        results[name] = _average_runs(runs)
-    return results
+    return _policy_sweep(
+        "pattern", topology_factory, policies, seeds,
+        executor, tracer, metrics, metrics_cadence_s, config,
+        pattern=pattern, rate_mbps=rate_mbps,
+        hosts=None if hosts is None else [int(h) for h in hosts],
+        schedule=None if schedule is None else asdict(schedule),
+        duration_s=duration_s, drain_s=drain_s, notification=notification,
+        window_s=window_s, track_routers=track_routers, idle_rate_mbps=idle_rate_mbps,
+    )
 
 
 def run_hotspot_workload(
@@ -390,7 +309,6 @@ def run_hotspot_workload(
     notification: str = DESTINATION_BASED,
     window_s: float = 50e-6,
     track_routers: bool = False,
-    policy_kwargs: Optional[dict] = None,
     executor=None,
     tracer=None,
     metrics=None,
@@ -398,65 +316,19 @@ def run_hotspot_workload(
 ) -> dict[str, PolicyRun]:
     """Hot-spot specific-pattern comparison (§4.5, §4.6.2).
 
-    ``executor`` (a :class:`repro.parallel.SweepExecutor`) fans the
-    policy x seed grid out to worker processes; results are bit-identical
-    to the serial loop.  Requires ``topology_factory`` to be a spec
-    string like ``"mesh:8"``.
-
-    ``metrics`` / ``metrics_cadence_s`` behave as in
-    :func:`run_pattern_workload`: serial-only, observation-only.
+    ``policies``, ``executor`` and ``metrics`` / ``metrics_cadence_s``
+    behave as in :func:`run_pattern_workload`.
     """
-    stop = schedule.end_time()
-    if stop is None:
+    if schedule.end_time() is None:
         raise ValueError("hot-spot schedule must be bounded (set repetitions)")
-    if metrics is not None and executor is not None:
-        raise ValueError(
-            "metrics registries cannot cross the process boundary; "
-            "drop executor= or attach metrics via the sweep's metrics_hook"
-        )
-    if executor is not None and len(policies) * len(seeds) > 1:
-        return _parallel_policy_sweep(
-            executor, "hotspot", topology_factory, policies, seeds,
-            {
-                "flows": [[int(s), int(d)] for s, d in flows],
-                "rate_mbps": rate_mbps,
-                "schedule": _schedule_to_dict(schedule),
-                "noise_rate_mbps": noise_rate_mbps,
-                "idle_rate_mbps": idle_rate_mbps,
-                "drain_s": drain_s,
-                "config": None if config is None else asdict(config),
-                "notification": notification,
-                "window_s": window_s,
-                "track_routers": track_routers,
-                "policy_kwargs": policy_kwargs,
-            },
-        )
-    results: dict[str, PolicyRun] = {}
-    for name in policies:
-        runs = []
-        for seed in seeds:
-            fabric, recorder, sim = _build(
-                topology_factory, name, config, notification,
-                window_s, track_routers, policy_kwargs or {}, tracer=tracer,
-                metrics=metrics, metrics_cadence_s=metrics_cadence_s,
-            )
-            streams = RandomStreams(seed)
-            workload = HotSpotWorkload(
-                fabric,
-                [HotSpotFlow(s, d) for s, d in flows],
-                rate_bps=rate_mbps * 1e6,
-                schedule=schedule,
-                stop_s=stop,
-                noise_hosts=range(fabric.topology.num_hosts),
-                noise_rate_bps=noise_rate_mbps * 1e6,
-                rng=streams.stream("noise"),
-                idle_rate_bps=idle_rate_mbps * 1e6,
-            )
-            workload.start()
-            sim.run(until=stop + drain_s)
-            runs.append(_collect(fabric, recorder, name, stop))
-        results[name] = _average_runs(runs)
-    return results
+    return _policy_sweep(
+        "hotspot", topology_factory, policies, seeds,
+        executor, tracer, metrics, metrics_cadence_s, config,
+        flows=[[int(s), int(d)] for s, d in flows], rate_mbps=rate_mbps,
+        schedule=asdict(schedule), noise_rate_mbps=noise_rate_mbps,
+        idle_rate_mbps=idle_rate_mbps, drain_s=drain_s, notification=notification,
+        window_s=window_s, track_routers=track_routers,
+    )
 
 
 def run_app_workload(
@@ -470,7 +342,6 @@ def run_app_workload(
     window_s: float = 100e-6,
     track_routers: bool = False,
     timeout_s: float = 30.0,
-    policy_kwargs: Optional[dict] = None,
 ) -> dict[str, PolicyRun]:
     """Application-trace comparison (§4.8): latency + execution time."""
     results: dict[str, PolicyRun] = {}
@@ -478,16 +349,19 @@ def run_app_workload(
     for name in policies:
         runs = []
         for seed in seeds:
-            fabric, recorder, sim = _build(
-                topology_factory, name, config, notification,
-                window_s, track_routers, policy_kwargs or {},
+            spec = Scenario(
+                topology_factory if isinstance(topology_factory, str) else "",
+                name, seed, routing_rng="default", notification=notification,
+                config=None if config is None else asdict(config), window_s=window_s,
+                track_routers=track_routers, schedule=None, drain_s=None,
             )
+            context = build(spec, topology=_instance(topology_factory), digest=False)
             kwargs = dict(trace_kwargs)
             if "seed" in trace_factory.__code__.co_varnames:
                 kwargs.setdefault("seed", seed)
             trace = trace_factory(**kwargs)
-            runtime = TraceRuntime(fabric, trace)
+            runtime = TraceRuntime(context.fabric, trace)
             exec_time = runtime.run(timeout_s=timeout_s)
-            runs.append(_collect(fabric, recorder, name, exec_time))
+            runs.append(PolicyRun.from_context(context, exec_time))
         results[name] = _average_runs(runs)
     return results

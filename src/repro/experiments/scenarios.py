@@ -719,10 +719,10 @@ def fig_4_27_30_pop(scale: Scale = QUICK) -> ExperimentResult:
 # Ablations (DESIGN.md §6)
 # ======================================================================
 
-def _hotspot_prdrb(scale: Scale, notification=None, policy_kwargs=None) -> PolicyRun:
+def _hotspot_prdrb(scale: Scale, notification=None, policy="pr-drb") -> PolicyRun:
     runs = run_hotspot_workload(
         MESH_SPEC,
-        ["pr-drb"],
+        [policy],
         HOTSPOT_FLOWS,
         rate_mbps=HOTSPOT_RATE_MBPS,
         schedule=_hotspot_schedule(scale),
@@ -732,12 +732,9 @@ def _hotspot_prdrb(scale: Scale, notification=None, policy_kwargs=None) -> Polic
         seeds=scale.seeds,
         notification=notification or NOTIFICATION,
         window_s=scale.window_s,
-        policy_kwargs=policy_kwargs,
-        # Ablation policy_kwargs carry config objects, which are not
-        # JSON task specs; those runs stay serial.
-        executor=None if policy_kwargs else default_executor(),
+        executor=default_executor(),
     )
-    return runs["pr-drb"]
+    return runs[policy]
 
 
 def ablation_notification_mode(scale: Scale = QUICK) -> ExperimentResult:
@@ -776,13 +773,9 @@ def ablation_max_paths(scale: Scale = QUICK) -> ExperimentResult:
         "More alternative paths absorb heavier hot-spots; the paper uses "
         "a maximum of 4.",
     )
-    from repro.routing.prdrb import PRDRBConfig
-
     values = {}
     for max_paths in (1, 2, 4):
-        r = _hotspot_prdrb(
-            scale, policy_kwargs={"config": PRDRBConfig(max_paths=max_paths)}
-        )
+        r = _hotspot_prdrb(scale, policy=f"pr-drb:max_paths={max_paths}")
         values[max_paths] = r.global_latency_s
         result.rows.append(
             {
@@ -803,13 +796,9 @@ def ablation_similarity_threshold(scale: Scale = QUICK) -> ExperimentResult:
         "An overly strict threshold stops solutions from being reused; "
         "80 % balances reuse against false matches.",
     )
-    from repro.routing.prdrb import PRDRBConfig
-
     reuse = {}
     for threshold in (0.5, 0.8, 1.0):
-        r = _hotspot_prdrb(
-            scale, policy_kwargs={"config": PRDRBConfig(match_threshold=threshold)}
-        )
+        r = _hotspot_prdrb(scale, policy=f"pr-drb:match_threshold={threshold}")
         reuse[threshold] = r.policy_stats.get("solutions_applied", 0)
         result.rows.append(
             {
@@ -833,13 +822,9 @@ def ablation_zone_thresholds(scale: Scale = QUICK) -> ExperimentResult:
         "A lower Threshold_High detects congestion earlier (more "
         "expansions); the defaults balance reactivity against churn.",
     )
-    from repro.routing.prdrb import PRDRBConfig
-
     reactions = {}
     for high in (1.25, 1.5, 2.5):
-        r = _hotspot_prdrb(
-            scale, policy_kwargs={"config": PRDRBConfig(high_factor=high)}
-        )
+        r = _hotspot_prdrb(scale, policy=f"pr-drb:high_factor={high}")
         reactions[high] = r.policy_stats["expansions"] + r.policy_stats.get(
             "solutions_applied", 0
         )

@@ -12,16 +12,16 @@ bit-replayable and comparable across policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
-from repro.network.config import NetworkConfig, ReliabilityConfig
+from repro.network.config import ReliabilityConfig
+from repro.scenario import Faults, Scenario, build
+from repro.traffic.bursty import BurstSchedule
 
 __all__ = [
     "FaultCampaignSpec",
     "FaultRunResult",
-    "FaultScenarioContext",
-    "build_fault_scenario",
-    "finish_fault_scenario",
+    "fault_models",
     "run_fault_scenario",
     "run_fault_campaign",
     "sweep_ack_loss",
@@ -32,34 +32,38 @@ DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 
 
 @dataclass(frozen=True)
-class FaultCampaignSpec:
-    """Everything that defines one campaign (fully seeded)."""
+class FaultCampaignSpec(Faults):
+    """Everything that defines one campaign (fully seeded): the fault
+    schedule plus the reference hot-spot scenario it is applied to."""
 
     seed: int = 0
     mesh_side: int = 4
     repetitions: int = 3
-    #: Bernoulli ACK/notification loss probability (0 disables).
-    ack_loss: float = 0.1
-    #: transient link-flap outage length, seconds (0 disables flaps).
-    flap_duration_s: float = 2.0e-4
-    #: offset of each flap into its burst, seconds.
-    flap_offset_s: float = 2.0e-5
-    #: use a stochastic MTBF/MTTR flap process instead of scheduled flaps.
-    stochastic: bool = False
-    mtbf_s: float = 3.0e-4
-    mttr_s: float = 1.5e-4
-    reliability: ReliabilityConfig = field(default_factory=ReliabilityConfig)
     notification: str = "router"
 
     def to_dict(self) -> dict:
-        """JSON form matching the ``fault`` task kind of repro.parallel
-        (``FaultCampaignSpec(**{... 'reliability': ReliabilityConfig(**r)})``
-        reconstructs it exactly)."""
-        from dataclasses import asdict
+        """JSON form matching the ``fault`` task kind of repro.parallel;
+        :meth:`from_dict` reconstructs it exactly."""
+        return asdict(self)
 
-        data = asdict(self)
-        data["reliability"] = asdict(self.reliability)
-        return data
+    @classmethod
+    def from_dict(cls, data: dict) -> "FaultCampaignSpec":
+        reliability = data.get("reliability")
+        if isinstance(reliability, dict):
+            data = {**data, "reliability": ReliabilityConfig(**reliability)}
+        return cls(**data)
+
+    def scenario(self, policy: str) -> Scenario:
+        """One policy's run of the campaign.  The drain window outlasts
+        the last flap's repair plus the full (capped) backoff ladder, so
+        every pending packet either delivers or is abandoned before the
+        books are read."""
+        return Scenario(
+            f"mesh:{self.mesh_side}", policy, self.seed, notification=self.notification,
+            schedule=BurstSchedule(on_s=1.5e-4, off_s=1.5e-4, repetitions=self.repetitions),
+            drain_s=2e-3,
+            faults=Faults(**{f.name: getattr(self, f.name) for f in fields(Faults)}),
+        )
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,22 @@ class FaultRunResult:
     metrics_digest: str
     events_executed: int
     report: object  # ResilienceReport
+
+    @classmethod
+    def from_context(cls, context) -> "FaultRunResult":
+        """Digest and report a :class:`repro.scenario.Context` whose run
+        completed."""
+        from repro.analysis.replay import digest_metrics
+        from repro.faults.metrics import resilience_report
+
+        return cls(
+            policy=context.spec.policy,
+            seed=context.spec.seed,
+            events_digest=context.trace.hexdigest(),
+            metrics_digest=digest_metrics(context.fabric, context.recorder, context.policy),
+            events_executed=context.sim.events_executed,
+            report=resilience_report(context.fabric, context.transport, context.injector),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -97,215 +117,38 @@ class FaultRunResult:
         )
 
 
-def _fault_models(spec: FaultCampaignSpec, fabric, schedule):
-    """Build the campaign's fault models against a concrete fabric."""
+def fault_models(faults: Faults, fabric, hot_flow: tuple[int, int], schedule) -> list:
+    """A fault schedule's models against a concrete fabric."""
     from repro.faults.models import AckLoss, LinkFlap, StochasticLinkFlaps
     from repro.routing.deterministic import host_path
-    from repro.traffic.generators import HotSpotFlow
 
-    n = fabric.topology.num_hosts
-    side = spec.mesh_side
-    flows = [
-        HotSpotFlow(0, n - side + 1),
-        HotSpotFlow(side, n - side + 1),
-        HotSpotFlow(1, n - 1),
-    ]
     models = []
-    if spec.stochastic:
+    if faults.stochastic:
         models.append(
             StochasticLinkFlaps(
-                mtbf_s=spec.mtbf_s,
-                mttr_s=spec.mttr_s,
+                mtbf_s=faults.mtbf_s,
+                mttr_s=faults.mttr_s,
                 end_s=schedule.end_time(),
             )
         )
-    elif spec.flap_duration_s > 0:
+    elif faults.flap_duration_s > 0:
         # Flap the first router hop of the hottest flow's minimal route:
         # it is both the deterministic path and every metapath's MSP 0,
         # so all policies face the same fault and must recover from it.
-        primary = host_path(fabric.topology, flows[0].src, flows[0].dst)
+        primary = host_path(fabric.topology, *hot_flow)
         period = schedule.on_s + schedule.off_s
-        for burst in range(1, min(3, spec.repetitions)):
+        for burst in range(1, min(3, schedule.repetitions)):
             models.append(
                 LinkFlap(
                     primary[0],
                     primary[1],
-                    at_s=burst * period + spec.flap_offset_s,
-                    duration_s=spec.flap_duration_s,
+                    at_s=burst * period + faults.flap_offset_s,
+                    duration_s=faults.flap_duration_s,
                 )
             )
-    if spec.ack_loss > 0:
-        models.append(AckLoss(drop_probability=spec.ack_loss))
-    return flows, models
-
-
-@dataclass
-class FaultScenarioContext:
-    """A fully built (possibly mid-run) fault scenario.
-
-    Mirrors :class:`repro.analysis.replay.ScenarioContext`: holds every
-    stateful root of a campaign run so the checkpoint layer can snapshot
-    the whole object graph in one pickle image and resume it elsewhere.
-    """
-
-    policy: str
-    spec: FaultCampaignSpec
-    until: float
-    sim: object
-    streams: object
-    trace: object
-    recorder: object
-    policy_obj: object
-    fabric: object
-    workload: object
-    transport: object
-    injector: object
-    invariants: object = None
-
-    def checkpoint_roots(self) -> dict:
-        """Named roots for one-graph snapshotting (shared identities in
-        the returned dict survive a single ``pickle.dumps``)."""
-        return {
-            "kind": "fault",
-            "params": {"policy": self.policy, "spec": self.spec.to_dict()},
-            "until": self.until,
-            "sim": self.sim,
-            "streams": self.streams,
-            "trace": self.trace,
-            "recorder": self.recorder,
-            "policy_obj": self.policy_obj,
-            "fabric": self.fabric,
-            "workload": self.workload,
-            "transport": self.transport,
-            "injector": self.injector,
-        }
-
-    @classmethod
-    def from_checkpoint_roots(cls, roots: dict) -> "FaultScenarioContext":
-        params = roots["params"]
-        spec_data = dict(params["spec"])
-        spec_data["reliability"] = ReliabilityConfig(**spec_data["reliability"])
-        return cls(
-            policy=params["policy"],
-            spec=FaultCampaignSpec(**spec_data),
-            until=roots["until"],
-            sim=roots["sim"],
-            streams=roots["streams"],
-            trace=roots["trace"],
-            recorder=roots["recorder"],
-            policy_obj=roots["policy_obj"],
-            fabric=roots["fabric"],
-            workload=roots["workload"],
-            transport=roots["transport"],
-            injector=roots["injector"],
-        )
-
-
-def build_fault_scenario(
-    policy: str = "pr-drb",
-    spec: FaultCampaignSpec | None = None,
-    with_invariants: bool = False,
-) -> FaultScenarioContext:
-    """Construct one policy's campaign run without executing it.
-
-    The construction order is load-bearing: every RNG draw and schedule
-    call must happen exactly as the historical ``run_fault_scenario``
-    body did, or the event digests shift.
-    """
-    from repro.analysis.replay import EventTraceDigest
-    from repro.faults.injector import FaultInjector
-    from repro.faults.recovery import ReliableTransport
-    from repro.metrics.recorder import StatsRecorder
-    from repro.network.fabric import Fabric
-    from repro.routing import make_policy
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import RandomStreams
-    from repro.topology.mesh import Mesh2D
-    from repro.traffic.bursty import BurstSchedule
-    from repro.traffic.generators import HotSpotWorkload
-
-    spec = spec or FaultCampaignSpec()
-    streams = RandomStreams(spec.seed)
-    sim = Simulator()
-    trace = EventTraceDigest().install(sim)
-    recorder = StatsRecorder(window_s=2.5e-5)
-    try:
-        policy_obj = make_policy(policy, rng=streams.stream("routing"))
-    except TypeError:
-        policy_obj = make_policy(policy)
-    fabric = Fabric(
-        Mesh2D(spec.mesh_side),
-        NetworkConfig(),
-        policy_obj,
-        sim,
-        recorder=recorder,
-        notification=spec.notification,
-    )
-    transport = ReliableTransport(fabric, spec.reliability)
-    injector = FaultInjector(fabric, rng=streams.stream("faults"))
-    invariants = None
-    if with_invariants:
-        from repro.analysis.invariants import DebugInvariants
-
-        invariants = DebugInvariants(fabric).install()
-
-    schedule = BurstSchedule(
-        on_s=1.5e-4, off_s=1.5e-4, repetitions=spec.repetitions
-    )
-    flows, models = _fault_models(spec, fabric, schedule)
-    injector.apply(*models)
-    stop = schedule.end_time()
-    workload = HotSpotWorkload(
-        fabric,
-        flows,
-        rate_bps=1.2e9,
-        schedule=schedule,
-        stop_s=stop,
-        noise_hosts=range(fabric.topology.num_hosts),
-        noise_rate_bps=3e7,
-        rng=streams.stream("noise"),
-        idle_rate_bps=2e8,
-    )
-    workload.start()
-    # The drain window must outlast the last flap's repair plus the full
-    # (capped) backoff ladder, so every pending packet either delivers or
-    # is abandoned before the books are read.
-    return FaultScenarioContext(
-        policy=policy,
-        spec=spec,
-        until=stop + 2e-3,
-        sim=sim,
-        streams=streams,
-        trace=trace,
-        recorder=recorder,
-        policy_obj=policy_obj,
-        fabric=fabric,
-        workload=workload,
-        transport=transport,
-        injector=injector,
-        invariants=invariants,
-    )
-
-
-def finish_fault_scenario(context: FaultScenarioContext) -> FaultRunResult:
-    """Digest and report a completed fault scenario."""
-    from repro.analysis.replay import digest_metrics
-    from repro.faults.metrics import resilience_report
-
-    if context.invariants is not None:
-        context.invariants.check()
-    return FaultRunResult(
-        policy=context.policy,
-        seed=context.spec.seed,
-        events_digest=context.trace.hexdigest(),
-        metrics_digest=digest_metrics(
-            context.fabric, context.recorder, context.policy_obj
-        ),
-        events_executed=context.sim.events_executed,
-        report=resilience_report(
-            context.fabric, context.transport, context.injector
-        ),
-    )
+    if faults.ack_loss > 0:
+        models.append(AckLoss(drop_probability=faults.ack_loss))
+    return models
 
 
 def run_fault_scenario(
@@ -314,9 +157,9 @@ def run_fault_scenario(
     with_invariants: bool = False,
 ) -> FaultRunResult:
     """One policy's seeded run under the campaign's fault schedule."""
-    context = build_fault_scenario(policy, spec, with_invariants)
-    context.sim.run(until=context.until)
-    return finish_fault_scenario(context)
+    context = build((spec or FaultCampaignSpec()).scenario(policy), with_invariants=with_invariants)
+    context.run()
+    return FaultRunResult.from_context(context)
 
 
 def _fault_task(policy: str, spec: FaultCampaignSpec):

@@ -46,34 +46,19 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _build_tasks(args) -> list[SimTask]:
-    tasks: list[SimTask] = []
-    for policy in args.policies:
-        for seed in _parse_seeds(args.seeds):
-            if args.kind == "replay":
-                params = {
-                    "policy": policy,
-                    "seed": seed,
-                    "mesh_side": args.mesh_side,
-                    "repetitions": args.repetitions,
-                }
-            else:  # fault
-                params = {
-                    "policy": policy,
-                    "spec": {
-                        "seed": seed,
-                        "mesh_side": args.mesh_side,
-                        "repetitions": args.repetitions,
-                        "ack_loss": args.ack_loss,
-                    },
-                }
-            tasks.append(
-                SimTask(
-                    kind=args.kind,
-                    params=params,
-                    label=f"{args.kind}:{policy}/seed{seed}",
-                )
-            )
-    return tasks
+    """The policy x seed grid, spelled exactly as a served job spec."""
+    from repro.serve.jobs import expand_grid
+
+    return expand_grid(
+        {
+            "kind": args.kind,
+            "policies": args.policies,
+            "seeds": _parse_seeds(args.seeds),
+            "mesh_side": args.mesh_side,
+            "repetitions": args.repetitions,
+            "ack_loss": args.ack_loss,
+        }
+    )
 
 
 def _progress_printer(event: dict) -> None:

@@ -1,19 +1,21 @@
 """Worker-side task execution: deterministic, hermetic, picklable.
 
-Every registered task kind builds a *fresh* simulation from its params —
-its own :class:`~repro.sim.engine.Simulator`, its own
-:class:`~repro.sim.rng.RandomStreams` from the task's seed — and returns
-a JSON-serializable result dict.  Nothing in this module reads the wall
-clock or ambient RNG: a task executed in a spawn-context worker process
-is bit-identical to the same task executed inline in the parent (the
-``repro.analysis`` lints and the parallel-equivalence CI smoke both
-enforce this).
+Every simulation task kind is a preset over
+:class:`repro.scenario.Scenario`, run by :func:`repro.scenario.run_task`:
+the params map to a spec, :func:`repro.scenario.build` constructs a
+*fresh* simulation from it — its own :class:`~repro.sim.engine.Simulator`,
+its own :class:`~repro.sim.rng.RandomStreams` from the task's seed — and
+the kind's JSON-serializable result dict comes back.  Nothing in this
+module reads the wall clock or ambient RNG: a task executed in a
+spawn-context worker process is bit-identical to the same task executed
+inline in the parent (the ``repro.analysis`` lints and the
+parallel-equivalence CI smoke both enforce this).
 
 Task kinds
 ----------
 ``replay``
-    One seeded small-mesh hot-spot run through
-    :func:`repro.analysis.replay.run_scenario`; result carries the
+    One seeded small-mesh hot-spot run (as
+    :func:`repro.analysis.replay.run_scenario`); result carries the
     event-trace and metrics SHA-256 digests.
 ``hotspot`` / ``pattern``
     One (policy, seed) cell of
@@ -22,21 +24,20 @@ Task kinds
     declarative topology spec; result is a lossless
     :meth:`~repro.experiments.runner.PolicyRun.to_dict`.
 ``fault``
-    One policy's seeded fault scenario through
-    :func:`repro.faults.campaign.run_fault_scenario`.
+    One policy's seeded fault scenario (as
+    :func:`repro.faults.campaign.run_fault_scenario`).
 ``selftest``
     Orchestrator test double: succeeds, raises, crashes the worker
     process, or spins — used by the supervision tests and CI only.
 
 Crash-safe execution (docs/checkpoint.md)
 -----------------------------------------
-When the orchestrator hands a cell a ``checkpoint_path``, the ``replay``
-and ``fault`` kinds run through :mod:`repro.checkpoint` instead of the
-one-shot runners: a checkpoint is written every
-``REPRO_CHECKPOINT_EVERY`` executed events (SIGKILL recovery), SIGTERM
-triggers a final snapshot at the next event boundary followed by
-``os._exit(CHECKPOINTED_EXIT)``, and a valid checkpoint already on disk
-is resumed instead of starting over.  Determinism makes the spliced run
+When the orchestrator hands a simulation cell a ``checkpoint_path``, it
+runs through :mod:`repro.checkpoint` instead of one-shot: a checkpoint
+is written every ``REPRO_CHECKPOINT_EVERY`` executed events (SIGKILL
+recovery), SIGTERM triggers a final snapshot at the next event boundary
+followed by ``os._exit(CHECKPOINTED_EXIT)``, and a valid checkpoint
+already on disk is resumed instead of starting over.  Determinism makes the spliced run
 bit-identical to an uninterrupted one, so cached results never fork.
 """
 
@@ -47,10 +48,10 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.parallel.tasks import SimTask, json_safe
+from repro.scenario import run_task
 
 __all__ = [
     "CHECKPOINTED_EXIT",
-    "RESUMABLE_KINDS",
     "TASK_KINDS",
     "execute_task",
     "pool_worker",
@@ -59,9 +60,6 @@ __all__ = [
 #: exit status of a worker that parked a final checkpoint on SIGTERM
 #: (BSD ``EX_TEMPFAIL``: try again — here, resume from the checkpoint).
 CHECKPOINTED_EXIT = 75
-
-#: task kinds the checkpoint runner can build and resume.
-RESUMABLE_KINDS = ("replay", "fault")
 
 #: one snapshot of a sweep-sized cell costs ~25 ms against ~120k
 #: simulated events/s, so a 200k cadence keeps the measured throughput
@@ -87,112 +85,9 @@ def _checkpoint_every() -> int:
 # ----------------------------------------------------------------------
 # Kind implementations
 # ----------------------------------------------------------------------
-def _run_replay(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    from repro.analysis.replay import run_scenario
-
-    digest = run_scenario(
-        seed=int(params.get("seed", 0)),
-        policy=str(params.get("policy", "pr-drb")),
-        mesh_side=int(params.get("mesh_side", 4)),
-        repetitions=int(params.get("repetitions", 3)),
-        tracer=tracer,
-        metrics=metrics,
-        metrics_cadence_s=metrics_cadence_s,
-    )
-    return digest.to_dict()
-
-
-def _run_fault(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    from repro.faults.campaign import FaultCampaignSpec, run_fault_scenario
-    from repro.network.config import ReliabilityConfig
-
-    spec_params = dict(params.get("spec", {}))
-    reliability = spec_params.pop("reliability", None)
-    if reliability is not None:
-        spec_params["reliability"] = ReliabilityConfig(**reliability)
-    result = run_fault_scenario(
-        policy=str(params.get("policy", "pr-drb")),
-        spec=FaultCampaignSpec(**spec_params),
-    )
-    return result.to_dict()
-
-
-def _build_schedule(params: Optional[dict]):
-    from repro.traffic.bursty import BurstSchedule
-
-    if params is None:
-        return None
-    return BurstSchedule(
-        on_s=float(params["on_s"]),
-        off_s=float(params["off_s"]),
-        start_s=float(params.get("start_s", 0.0)),
-        repetitions=(
-            None if params.get("repetitions") is None
-            else int(params["repetitions"])
-        ),
-    )
-
-
-def _build_config(params: Optional[dict]):
-    from repro.network.config import NetworkConfig
-
-    return None if params is None else NetworkConfig(**params)
-
-
-def _run_hotspot(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    from repro.experiments.runner import run_hotspot_workload
-
-    runs = run_hotspot_workload(
-        params["topology"],
-        [params["policy"]],
-        [tuple(flow) for flow in params["flows"]],
-        rate_mbps=float(params["rate_mbps"]),
-        schedule=_build_schedule(params["schedule"]),
-        noise_rate_mbps=float(params.get("noise_rate_mbps", 0.0)),
-        idle_rate_mbps=float(params.get("idle_rate_mbps", 0.0)),
-        drain_s=float(params.get("drain_s", 1e-3)),
-        seeds=(int(params.get("seed", 0)),),
-        config=_build_config(params.get("config")),
-        notification=str(params.get("notification", "destination")),
-        window_s=float(params.get("window_s", 50e-6)),
-        track_routers=bool(params.get("track_routers", False)),
-        policy_kwargs=params.get("policy_kwargs"),
-        tracer=tracer,
-        metrics=metrics,
-        metrics_cadence_s=metrics_cadence_s,
-    )
-    return runs[params["policy"]].to_dict()
-
-
-def _run_pattern(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
-    from repro.experiments.runner import run_pattern_workload
-
-    hosts = params.get("hosts")
-    runs = run_pattern_workload(
-        params["topology"],
-        [params["policy"]],
-        params["pattern"],
-        rate_mbps=float(params["rate_mbps"]),
-        hosts=None if hosts is None else [int(h) for h in hosts],
-        schedule=_build_schedule(params.get("schedule")),
-        duration_s=float(params.get("duration_s", 1e-3)),
-        drain_s=float(params.get("drain_s", 1e-3)),
-        seeds=(int(params.get("seed", 0)),),
-        config=_build_config(params.get("config")),
-        notification=str(params.get("notification", "destination")),
-        window_s=float(params.get("window_s", 50e-6)),
-        track_routers=bool(params.get("track_routers", False)),
-        idle_rate_mbps=float(params.get("idle_rate_mbps", 0.0)),
-        policy_kwargs=params.get("policy_kwargs"),
-        tracer=tracer,
-        metrics=metrics,
-        metrics_cadence_s=metrics_cadence_s,
-    )
-    return runs[params["policy"]].to_dict()
-
-
-def _run_selftest(params: dict, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
+def _run_selftest(task: SimTask, tracer=None, metrics=None, metrics_cadence_s=None) -> dict:
     """Supervision test double — never used by real sweeps."""
+    params = task.params
     mode = params.get("mode", "ok")
     if mode == "ok":
         return {"value": params.get("value", 0)}
@@ -221,11 +116,11 @@ def _run_selftest(params: dict, tracer=None, metrics=None, metrics_cadence_s=Non
     raise ValueError(f"unknown selftest mode {mode!r}")
 
 
-TASK_KINDS: dict[str, Callable[[dict], dict]] = {
-    "replay": _run_replay,
-    "fault": _run_fault,
-    "hotspot": _run_hotspot,
-    "pattern": _run_pattern,
+TASK_KINDS: dict[str, Callable[..., dict]] = {
+    "replay": run_task,
+    "fault": run_task,
+    "hotspot": run_task,
+    "pattern": run_task,
     "selftest": _run_selftest,
 }
 
@@ -237,7 +132,7 @@ _HANDLER_UNSET = object()
 
 
 def _run_resumable(task: SimTask, checkpoint_path: str) -> dict:
-    """Run a resumable cell with periodic checkpoints and SIGTERM hand-off.
+    """Run a simulation cell with periodic checkpoints and SIGTERM hand-off.
 
     The SIGTERM handler only sets a flag — a snapshot taken *inside* a
     signal handler could land mid-event and capture a torn state.  The
@@ -248,12 +143,8 @@ def _run_resumable(task: SimTask, checkpoint_path: str) -> dict:
     """
     import signal
 
-    from repro.checkpoint import (
-        build_context,
-        finish_context,
-        load_scenario_checkpoint,
-        save_scenario_checkpoint,
-    )
+    from repro.checkpoint import load_scenario_checkpoint, save_scenario_checkpoint
+    from repro.scenario import build_task, finish
 
     path = Path(checkpoint_path)
     context = None
@@ -269,7 +160,7 @@ def _run_resumable(task: SimTask, checkpoint_path: str) -> dict:
             except OSError:
                 pass
     if context is None:
-        context = build_context(task.kind, task.params)
+        context = build_task(task.kind, task.params)
 
     interrupted = {"seen": False}
 
@@ -292,8 +183,8 @@ def _run_resumable(task: SimTask, checkpoint_path: str) -> dict:
         pass
     context.sim.set_checkpoint_cadence(_checkpoint_every(), _cadence_hook)
     try:
-        context.sim.run(until=context.until)
-        result = json_safe(finish_context(context))
+        context.run()
+        result = json_safe(finish(context))
     finally:
         context.sim.set_checkpoint_cadence(None)
         if restore is not _HANDLER_UNSET and restore is not None:
@@ -329,10 +220,10 @@ def execute_task(
     stay bit-identical with or without it.  Hooks are callables, so they
     only exist on the inline backend (the pool cannot pickle them).
 
-    ``checkpoint_path`` opts a :data:`RESUMABLE_KINDS` cell into
-    crash-safe execution (see the module docstring).  Profiling, tracing
-    and metrics hooks take precedence when combined: their sinks hold
-    live handles no snapshot could carry, so such cells run one-shot."""
+    ``checkpoint_path`` opts a simulation cell into crash-safe execution
+    (see the module docstring).  Profiling, tracing and metrics hooks
+    take precedence when combined: their sinks hold live handles no
+    snapshot could carry, so such cells run one-shot."""
     runner = TASK_KINDS.get(task.kind)
     if runner is None:
         raise ValueError(
@@ -340,7 +231,7 @@ def execute_task(
         )
     if (
         checkpoint_path is not None
-        and task.kind in RESUMABLE_KINDS
+        and runner is run_task
         and profile_path is None
         and trace_path is None
         and metrics_hook is None
@@ -363,10 +254,10 @@ def execute_task(
         kwargs["metrics_cadence_s"] = metrics_cadence_s
     try:
         if profile_path is None:
-            return json_safe(runner(task.params, **kwargs))
+            return json_safe(runner(task, **kwargs))
         from repro.parallel.profiling import profile_call, write_profile
 
-        result, profile = profile_call(runner, task.params, **kwargs)
+        result, profile = profile_call(runner, task, **kwargs)
         write_profile(profile, profile_path)
         return json_safe(result)
     finally:

@@ -27,13 +27,19 @@ from __future__ import annotations
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
+
+from repro.scenario import Scenario, build
+from repro.traffic.bursty import BurstSchedule
 
 __all__ = [
     "DEFAULT_POLICIES",
     "BASELINE_PATH",
     "RATE_REGRESSION_TOLERANCE",
+    "PINNED_DRAGONFLY",
+    "PINNED_MESH8",
     "load_baseline",
     "check_digests",
     "run_pinned_workload",
@@ -97,112 +103,63 @@ def check_digests(
 
 
 # ----------------------------------------------------------------------
-# Pinned hot-spot workload (shared with scripts/profile_sim.py)
+# Pinned hot-spot workloads (shared with scripts/profile_sim.py)
 # ----------------------------------------------------------------------
+#: An 8x8 mesh with four colliding hot-spot flows under a repeated on/off
+#: burst schedule — the congested steady state whose profile drove the
+#: engine/network optimizations (docs/performance.md).  Mirrored in
+#: ``baseline.json``'s ``workload`` block: drift makes recorded rates
+#: incomparable.
+PINNED_MESH8 = Scenario(
+    "mesh:8", routing_rng="default", notification="destination", window_s=None,
+    schedule=BurstSchedule(on_s=3e-4, off_s=3e-4, repetitions=50),
+    flows=((0, 37), (8, 45), (16, 53), (24, 61)),
+    rate_bps=1.3e9, noise_rate_bps=0.0, idle_rate_bps=250e6, drain_s=None,
+)
+
+#: The adversarial permutation behind ``benchmarks/bench_dragonfly.py``
+#: and the CI dragonfly-smoke digest gate: every host of group 0 sends to
+#: its mirror in group 1 on ``dragonfly:4,2,2``, so all eight flows
+#: contend for the pair's single global link, plus uniform noise.  Any
+#: drift is a determinism bug, not a tunable.
+PINNED_DRAGONFLY = Scenario(
+    "dragonfly:4,2,2", window_s=None,
+    schedule=BurstSchedule(on_s=3e-4, off_s=1e-4, repetitions=3),
+    rate_bps=1.3e9, noise_rate_bps=30e6, idle_rate_bps=0.0, drain_s=8e-4,
+)
+
+
 def run_pinned_workload(
     policy: str, max_events: int, tracer=None, metrics=None,
     metrics_cadence_s: Optional[float] = None,
 ) -> int:
-    """Run the pinned hot-spot workload; return events executed.
-
-    An 8x8 mesh with four colliding hot-spot flows under a repeated
-    on/off burst schedule — the congested steady state whose profile
-    drove the engine/network optimizations (docs/performance.md).  The
-    parameters are mirrored in ``baseline.json``'s ``workload`` block and
-    must not drift, or recorded rates stop being comparable.
+    """Run :data:`PINNED_MESH8` under ``policy``; return events executed.
 
     ``tracer``/``metrics`` (a :class:`repro.obs.tracer.Tracer` and
     :class:`repro.obs.metrics.MetricsRegistry`) instrument the run; both
     observe only, so the executed event stream is identical either way.
     """
-    from repro.network.config import NetworkConfig
-    from repro.network.fabric import Fabric
-    from repro.routing import make_policy
-    from repro.sim.engine import Simulator
-    from repro.topology.mesh import Mesh2D
-    from repro.traffic.bursty import BurstSchedule
-    from repro.traffic.generators import HotSpotFlow, HotSpotWorkload
-
-    sim = Simulator()
-    fabric = Fabric(Mesh2D(8), NetworkConfig(), make_policy(policy), sim)
-    if tracer is not None or metrics is not None:
-        from repro.obs import instrument
-
-        instrument(fabric, tracer, metrics, cadence_s=metrics_cadence_s)
-    schedule = BurstSchedule(on_s=3e-4, off_s=3e-4, repetitions=50)
-    flows = [
-        HotSpotFlow(0, 37),
-        HotSpotFlow(8, 45),
-        HotSpotFlow(16, 53),
-        HotSpotFlow(24, 61),
-    ]
-    HotSpotWorkload(
-        fabric,
-        flows,
-        rate_bps=1.3e9,
-        schedule=schedule,
-        stop_s=schedule.end_time(),
-        idle_rate_bps=250e6,
-    ).start()
-    sim.run(max_events=max_events)
-    return sim.events_executed
+    context = build(
+        replace(PINNED_MESH8, policy=policy), digest=False,
+        tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s,
+    )
+    context.run(max_events=max_events)
+    return context.sim.events_executed
 
 
 def run_pinned_dragonfly_workload(
     policy: str, max_events: Optional[int] = None, seed: int = 0,
 ) -> dict:
-    """Run the pinned dragonfly group-pair hot-spot; return run counters.
-
-    The adversarial permutation behind ``benchmarks/bench_dragonfly.py``
-    and the CI dragonfly-smoke digest gate: every host of group 0 sends
-    to its mirror in group 1 on ``dragonfly:4,2,2``, so all eight flows
-    contend for the pair's single global link under router-based
-    notification, plus uniform background noise.  The parameters are
-    pinned — the smoke job compares same-seed event digests across runs,
-    so any drift here is a determinism bug, not a tunable.
-    """
-    from repro.analysis.replay import EventTraceDigest
-    from repro.network.config import NetworkConfig
-    from repro.network.fabric import Fabric
-    from repro.parallel.tasks import make_topology
-    from repro.routing import make_policy
-    from repro.sim.engine import Simulator
-    from repro.sim.rng import RandomStreams
-    from repro.traffic.bursty import BurstSchedule
-    from repro.traffic.generators import HotSpotFlow, HotSpotWorkload
-
-    streams = RandomStreams(seed)
-    sim = Simulator()
-    trace = EventTraceDigest().install(sim)
-    try:
-        policy_obj = make_policy(policy, rng=streams.stream("routing"))
-    except TypeError:
-        policy_obj = make_policy(policy)
-    fabric = Fabric(
-        make_topology("dragonfly:4,2,2"),
-        NetworkConfig(),
-        policy_obj,
-        sim,
-        notification="router",
-    )
-    schedule = BurstSchedule(on_s=3e-4, off_s=1e-4, repetitions=3)
-    HotSpotWorkload(
-        fabric,
-        [HotSpotFlow(h, h + 8) for h in range(8)],
-        rate_bps=1.3e9,
-        schedule=schedule,
-        stop_s=schedule.end_time(),
-        noise_hosts=range(fabric.topology.num_hosts),
-        noise_rate_bps=30e6,
-        rng=streams.stream("noise"),
-    ).start()
-    sim.run(until=schedule.end_time() + 8e-4, max_events=max_events)
+    """Run the pinned dragonfly group-pair hot-spot; return run counters."""
+    context = build(replace(PINNED_DRAGONFLY, policy=policy, seed=seed))
+    context.run(max_events=max_events)
+    fabric = context.fabric
     return {
-        "events_executed": sim.events_executed,
+        "events_executed": context.sim.events_executed,
         "packets_injected": fabric.data_packets_injected,
         "packets_delivered": fabric.data_packets_delivered,
-        "digest": trace.hexdigest(),
-        "policy_stats": policy_obj.stats(),
+        "digest": context.trace.hexdigest(),
+        "policy_stats": context.policy.stats(),
     }
 
 

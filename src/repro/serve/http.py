@@ -27,7 +27,10 @@ terminate deterministically.  A stream always opens with a synthetic
 ``state`` event carrying the current job record (or, on the firehose,
 the service stats), so late subscribers see terminal jobs immediately.
 A job stream then replays the job's bus backlog, so the frames published
-before the client connected arrive too (:class:`~repro.obs.bus.MetricsBus`).
+before the client connected arrive too (:class:`~repro.obs.bus.MetricsBus`),
+and closes after the frame in which the job reaches ``done``/``failed``
+— or right after the opening frame, if the job was already terminal and
+its backlog has been evicted.
 
 Wall-clock readings here are confined to connection plumbing (idle
 timeouts, heartbeat pacing) — they never feed a simulation, hence the
@@ -51,6 +54,8 @@ __all__ = ["ServeHTTPServer", "make_server"]
 _POLL_S = 0.25
 #: seconds between ``: ping`` comments on an otherwise idle stream.
 _HEARTBEAT_S = 5.0
+#: job states after which a job publishes nothing more.
+_TERMINAL = ("done", "failed")
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -192,7 +197,8 @@ class _Handler(BaseHTTPRequestHandler):
     # SSE
     # ------------------------------------------------------------------
     def _stream(self, job_id: Optional[str], query: dict) -> None:
-        """Fan bus events to this connection until limit/idle/disconnect.
+        """Fan bus events to this connection until limit/idle/disconnect
+        (or, on a job stream, until the job is terminal).
 
         The subscription's queue is bounded: if this thread stalls (slow
         client, dead TCP peer not yet detected), ``publish`` drops events
@@ -234,6 +240,9 @@ class _Handler(BaseHTTPRequestHandler):
                     "jobs": [j.to_dict() for j in service.store.list()],
                 }
             self._write_frame("state", 0, state)
+            job = state.get("job")
+            if job is not None and job["state"] in _TERMINAL and sub.queue.empty():
+                return  # terminal, backlog evicted: nothing more will come
 
             sent = 0
             last_activity = time.monotonic()  # repro: allow(no-wall-clock)
@@ -252,6 +261,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self._write_frame(event["type"], event["seq"], event)
                 sent += 1
                 last_activity = last_beat = now
+                if (
+                    job_id is not None
+                    and event["type"] == "job"
+                    and event["data"].get("state") in _TERMINAL
+                ):
+                    break
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass  # disconnect is the normal way an SSE stream ends
         finally:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.parallel.tasks import SimTask, canonical_json, task_key
+from repro.scenario import KINDS
 
 __all__ = ["Job", "JobStore", "expand_grid", "grid_key", "JOB_STATES"]
 
@@ -50,7 +51,7 @@ _DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 
 #: task kinds a job spec may reference (``selftest`` is the orchestrator
 #: test double and stays CLI/test-only).
-SERVABLE_KINDS = ("replay", "fault", "hotspot", "pattern")
+SERVABLE_KINDS = KINDS
 
 
 def _parse_seeds(raw) -> list[int]:

@@ -21,7 +21,7 @@ from repro.shard.rank import SETUP_ORIGIN, AmbiguousTieError, Rank
 from repro.shard.engine import ShardSimulator
 from repro.shard.fabric import LookaheadViolation, ShardFabric, ShardConfigError, min_lookahead_s
 from repro.shard.protocol import HANDOFF_PAYLOAD_TYPES, Handoff
-from repro.shard.scenarios import SCENARIOS, ShardScenarioSpec, build_serial, build_shard
+from repro.shard.scenarios import SCENARIOS, build_shard
 from repro.shard.merge import MergeError, MergedRun, ShardResult, collect_result, merge_results
 from repro.shard.runtime import ShardRunReport, run_sharded
 
@@ -39,9 +39,7 @@ __all__ = [
     "ShardFabric",
     "ShardRunReport",
     "ShardResult",
-    "ShardScenarioSpec",
     "ShardSimulator",
-    "build_serial",
     "build_shard",
     "collect_result",
     "merge_results",

@@ -23,8 +23,9 @@ import os
 import time
 from dataclasses import replace
 
+from repro.scenario import build
 from repro.shard.runtime import run_sharded
-from repro.shard.scenarios import SCENARIOS, build_serial
+from repro.shard.scenarios import SCENARIOS
 
 __all__ = ["main", "run_bench"]
 
@@ -34,9 +35,9 @@ SPEEDUP_FLOOR = 1.5
 
 
 def _bench_spec(name: str, policy: str, quick: bool):
-    spec = SCENARIOS[name].with_policy(policy)
+    spec = replace(SCENARIOS[name], policy=policy)
     if quick:
-        spec = replace(spec, repetitions=1)
+        spec = replace(spec, schedule=replace(spec.schedule, repetitions=1))
     return spec
 
 
@@ -52,16 +53,16 @@ def run_bench(
     best_speedup = 0.0
     for name in scenarios:
         spec = _bench_spec(name, policy, quick)
-        serial = build_serial(spec, with_digest=False)
+        serial = build(spec, digest=False)
         start = time.perf_counter()  # repro: allow(no-wall-clock) harness timing
-        serial.sim.run(until=serial.until)
+        serial.run()
         serial_wall = time.perf_counter() - start  # repro: allow(no-wall-clock) harness timing
         serial_events = serial.sim.events_executed
         entry = {
             "scenario": name,
             "topology": spec.topology,
             "policy": spec.policy,
-            "repetitions": spec.repetitions,
+            "repetitions": spec.schedule.repetitions,
             "serial": {
                 "events": serial_events,
                 "wall_s": round(serial_wall, 4),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import replace
 
 from repro.shard.scenarios import SCENARIOS
 
@@ -31,7 +32,7 @@ def _spec(args):
         raise SystemExit(
             f"unknown scenario {args.scenario!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
-    return spec.with_policy(args.policy)
+    return replace(spec, policy=args.policy)
 
 
 def cmd_run(args) -> int:
@@ -49,7 +50,7 @@ def cmd_run(args) -> int:
     print(
         json.dumps(
             {
-                "scenario": spec.name,
+                "scenario": args.scenario,
                 "policy": spec.policy,
                 "status": report.status,
                 "num_shards": report.num_shards,
@@ -75,18 +76,18 @@ def cmd_verify(args) -> int:
     from repro.analysis.replay import digest_metrics
     from repro.shard.merge import merge_results
     from repro.shard.runtime import run_sharded
-    from repro.shard.scenarios import build_serial
+    from repro.scenario import build
 
     base = SCENARIOS[args.scenario]
     policies = args.policies or list(VERIFY_POLICIES)
     shard_counts = args.shards or list(VERIFY_SHARDS)
     failures = 0
     for policy in policies:
-        spec = base.with_policy(policy)
-        serial = build_serial(spec)
-        serial.sim.run(until=serial.until)
+        spec = replace(base, policy=policy)
+        serial = build(spec)
+        serial.run()
         serial_trace = serial.trace.hexdigest()
-        serial_metrics = digest_metrics(serial.fabric, serial.recorder, serial.policy_obj)
+        serial_metrics = digest_metrics(serial.fabric, serial.recorder, serial.policy)
         for num_shards in shard_counts:
             report = run_sharded(spec, num_shards, verify=True)
             merged = merge_results(spec, report.results, spec.until())
@@ -95,7 +96,7 @@ def cmd_verify(args) -> int:
             ok = trace_ok and metrics_ok
             failures += 0 if ok else 1
             print(
-                f"{'PASS' if ok else 'FAIL'} {spec.name} {policy:>17s} K={num_shards} "
+                f"{'PASS' if ok else 'FAIL'} {args.scenario} {policy:>17s} K={num_shards} "
                 f"events={merged.events} windows={report.windows} "
                 f"handoffs={report.handoffs} "
                 f"trace={'ok' if trace_ok else 'MISMATCH'} "

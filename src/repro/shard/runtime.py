@@ -37,7 +37,8 @@ from pathlib import Path
 from typing import Optional
 
 from repro.shard.merge import ShardResult, collect_result
-from repro.shard.scenarios import ShardContext, ShardScenarioSpec, build_shard
+from repro.scenario import Scenario
+from repro.shard.scenarios import ShardContext, build_shard
 
 __all__ = ["ShardRunReport", "run_sharded"]
 
@@ -74,7 +75,7 @@ def _shard_ckpt(directory: Path, shard_id: int) -> Path:
     return directory / f"shard{shard_id}.ckpt"
 
 
-def _restore_context(spec: ShardScenarioSpec, shard_id: int, num_shards: int, path: Path, verify: bool) -> ShardContext:
+def _restore_context(spec: Scenario, shard_id: int, num_shards: int, path: Path, verify: bool) -> ShardContext:
     from repro.checkpoint.format import read_payload
     from repro.checkpoint.runner import code_version
     from repro.network.packet import set_pid_counter
@@ -84,11 +85,9 @@ def _restore_context(spec: ShardScenarioSpec, shard_id: int, num_shards: int, pa
     if header.kind != CHECKPOINT_KIND:
         raise ValueError(f"{path}: expected a {CHECKPOINT_KIND!r} checkpoint, got {header.kind!r}")
     meta = header.meta
-    if meta.get("scenario") != spec.name or meta.get("policy") != spec.policy:
-        raise ValueError(
-            f"{path}: checkpoint is for {meta.get('scenario')}/{meta.get('policy')}, "
-            f"resume requested {spec.name}/{spec.policy}"
-        )
+    saved = meta.get("scenario")
+    if saved is None or Scenario.from_dict(saved) != spec:
+        raise ValueError(f"{path}: checkpoint is for another scenario ({saved!r})")
     if int(meta.get("num_shards", -1)) != num_shards or int(meta.get("shard_id", -1)) != shard_id:
         raise ValueError(f"{path}: checkpoint shard layout does not match the resume request")
     set_pid_counter(roots.pop("pid_counter"))
@@ -121,8 +120,7 @@ def _write_shard_checkpoint(ctx: ShardContext, num_shards: int, path: Path) -> N
         sim_now=ctx.sim.now,
         events_executed=ctx.sim.events_executed,
         meta={
-            "scenario": ctx.spec.name,
-            "policy": ctx.spec.policy,
+            "scenario": ctx.spec.to_dict(),
             "shard_id": ctx.shard_id,
             "num_shards": num_shards,
             "setup_ops": ctx.setup_ops,
@@ -139,7 +137,7 @@ def _state_digest_part(ctx: ShardContext) -> str:
 
 def _worker_main(
     conn,
-    spec: ShardScenarioSpec,
+    spec: Scenario,
     shard_id: int,
     num_shards: int,
     verify: bool,
@@ -209,7 +207,7 @@ def _worker_main(
 
 
 def run_sharded(
-    spec: ShardScenarioSpec,
+    spec: Scenario,
     num_shards: int,
     *,
     verify: bool = False,
@@ -410,7 +408,7 @@ def run_sharded(
             merge_shard_traces(
                 [*worker_traces, str(coord_trace_path)],
                 str(trace_dir / "merged.jsonl"),
-                label=f"shard-run:{spec.name}:{spec.policy}",
+                label=f"shard-run:{spec.topology}:{spec.policy}",
             )
         return ShardRunReport(
             status="completed",
@@ -442,12 +440,10 @@ def run_sharded(
             signal.signal(signal.SIGTERM, previous_handler)
 
 
-def _write_manifest(directory: Path, spec: ShardScenarioSpec, num_shards: int, windows: int, complete: bool) -> None:
+def _write_manifest(directory: Path, spec: Scenario, num_shards: int, windows: int, complete: bool) -> None:
     manifest = {
         "kind": CHECKPOINT_KIND,
-        "scenario": spec.name,
-        "policy": spec.policy,
-        "seed": spec.seed,
+        "scenario": spec.to_dict(),
         "num_shards": num_shards,
         "windows": windows,
         "complete": complete,

@@ -1,154 +1,47 @@
-"""Pinned scenarios shared by the serial and sharded digest legs.
+"""Pinned shardable scenarios and the per-shard leg of their build.
 
-A :class:`ShardScenarioSpec` is a frozen, picklable description of one
-hot-spot workload; :func:`build_serial` and :func:`build_shard` construct
-it in *exactly* the same order (policy, fabric, workload, injection
-roots), which is what makes the serial digest the oracle for the sharded
-run (docs/sharding.md).
+The serial oracle leg of every scenario here is plain
+:func:`repro.scenario.build`; :func:`build_shard` constructs the same
+spec with the shard-aware engine and fabric, through the same
+:func:`~repro.scenario.scenario_policy` and
+:func:`~repro.scenario.scenario_workload`, which is what makes the
+serial digest the oracle for the sharded run (docs/sharding.md).
 
-Two deviations from the legacy :mod:`repro.analysis.replay` scenario are
-deliberate, and apply to **both** legs so the comparison stays apples to
-apples:
+Two scenario fields are set for sharding, and apply to **both** legs so
+the comparison stays apples to apples:
 
-* routing policies run flow-seeded (``flow_seeded=true``): each flow
-  draws from its own ``named_generator`` stream, so the draw *order*
-  across flows stops mattering — on a shard, only a subset of flows
-  exists, and a shared stream would interleave differently;
-* background noise uses :class:`ShardHotSpotWorkload`, whose per-host
-  noise generators make each host's destination sequence independent of
-  every other host's injection schedule, for the same reason.
+* ``routing_rng="flow"``: each flow draws from its own
+  ``named_generator`` stream, so the draw *order* across flows stops
+  mattering — on a shard, only a subset of flows exists, and a shared
+  stream would interleave differently;
+* ``noise_rng="host"``: background noise uses per-host generators
+  (:class:`~repro.traffic.generators.ShardHotSpotWorkload`), so each
+  host's destination sequence is independent of every other host's
+  injection schedule, for the same reason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar, Optional
 
-from repro.analysis.replay import EventTraceDigest
 from repro.metrics.recorder import StatsRecorder
 from repro.network.config import NetworkConfig
-from repro.network.fabric import Fabric
 from repro.parallel.tasks import make_topology
-from repro.routing import make_policy
-from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams, named_generator
+from repro.scenario import Scenario, scenario_policy, scenario_workload
+from repro.sim.rng import RandomStreams
 from repro.shard.engine import ShardSimulator
 from repro.shard.fabric import ShardFabric, min_lookahead_s
 from repro.topology.partition import PartitionPlan
 from repro.traffic.bursty import BurstSchedule
-from repro.traffic.generators import HotSpotFlow, HotSpotWorkload
+from repro.traffic.generators import HotSpotFlow
 
 __all__ = [
     "SCENARIOS",
-    "SerialContext",
     "ShardContext",
-    "ShardHotSpotWorkload",
-    "ShardScenarioSpec",
     "VerifyRecorder",
-    "build_serial",
     "build_shard",
-    "default_flows",
 ]
-
-
-@dataclass(frozen=True)
-class ShardScenarioSpec:
-    """One pinned hot-spot workload, fully described by plain values.
-
-    Frozen and closure-free so a spec travels verbatim to spawn-context
-    shard workers; ``flows=None`` derives the topology's canonical
-    aggressor set via :func:`default_flows`.
-    """
-
-    name: str
-    topology: str
-    policy: str = "pr-drb"
-    seed: int = 0
-    repetitions: int = 3
-    on_s: float = 1.5e-4
-    off_s: float = 1.5e-4
-    rate_bps: float = 1.2e9
-    noise_rate_bps: float = 3e7
-    idle_rate_bps: float = 2e8
-    window_s: float = 2.5e-5
-    until_margin_s: float = 4e-4
-    flows: Optional[tuple[tuple[int, int], ...]] = None
-
-    def with_policy(self, policy: str) -> "ShardScenarioSpec":
-        return replace(self, policy=policy)
-
-    def schedule(self) -> BurstSchedule:
-        return BurstSchedule(on_s=self.on_s, off_s=self.off_s, repetitions=self.repetitions)
-
-    def until(self) -> float:
-        return self.schedule().end_time() + self.until_margin_s
-
-
-def default_flows(spec_text: str, topology) -> tuple[tuple[int, int], ...]:
-    """The canonical aggressor set for a topology.
-
-    Mesh/torus: the replay scenario's colliding columns (two source
-    columns funnel into one destination column).  Dragonfly: the perf
-    harness's group-pair permutation — every host of group 0 sends to
-    its mirror in the next group, contending for the pair's global link.
-    """
-    n = topology.num_hosts
-    if hasattr(topology, "group_of"):
-        per_group = n // topology.num_groups
-        return tuple((h, h + per_group) for h in range(per_group))
-    side = int(getattr(topology, "width", 0) or round(n**0.5))
-    return ((0, n - side + 1), (side, n - side + 1), (1, n - 1))
-
-
-class ShardHotSpotWorkload(HotSpotWorkload):
-    """Hot-spot workload whose noise draws are per-host streams.
-
-    The base class draws every host's random destination from one shared
-    generator, so the draw order — and therefore every destination —
-    depends on the global interleaving of noise injections.  A shard
-    only executes its own hosts' injections, which would silently shift
-    every destination.  Per-host ``named_generator(seed, "noise:<h>")``
-    streams make each host's sequence a pure function of (seed, host).
-    """
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = (
-        "fabric",
-        "flows",
-        "idle_rate_bps",
-        "idle_interval_s",
-        "rate_bps",
-        "schedule",
-        "stop_s",
-        "noise_hosts",
-        "noise_rate_bps",
-        "rng",
-        "message_bytes",
-        "interval_s",
-        "messages_sent",
-        "noise_seed",
-        "noise_rngs",
-    )
-
-    def __init__(self, *args, noise_seed: int = 0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.noise_seed = int(noise_seed)
-        #: built eagerly for every noise host: generator state must not
-        #: depend on which hosts a shard happens to execute.
-        self.noise_rngs = {
-            host: named_generator(self.noise_seed, f"noise:{host}")
-            for host in self.noise_hosts
-        }
-
-    def _inject_noise(self, host: int, interval: float) -> None:
-        now = self.fabric.sim.now
-        if now >= self.stop_s:
-            return
-        n = self.fabric.topology.num_hosts
-        rng = self.noise_rngs[host]
-        dst = int(rng.integers(n - 1))
-        dst = dst if dst < host else dst + 1
-        self.fabric.send(host, dst, self.message_bytes)
-        self.fabric.sim.schedule(interval, self._inject_noise, host, interval)
 
 
 class VerifyRecorder(StatsRecorder):
@@ -172,62 +65,11 @@ class VerifyRecorder(StatsRecorder):
             self.sim.annotate(("deliv", packet.dst, latency_s, now))
 
 
-# ----------------------------------------------------------------------
-# Construction (order is load-bearing on both legs)
-# ----------------------------------------------------------------------
-def _make_policy(spec: ShardScenarioSpec, streams: RandomStreams):
-    """Build the policy flow-seeded; fall back for rng-free policies.
-
-    The attempt cascade is identical on both legs (same spec string), so
-    stream creation and construction order stay in lockstep.
-    """
-    rng = streams.stream("routing")
-    for kwargs in ({"rng": rng, "flow_seeded": True}, {"rng": rng}, {}):
-        try:
-            return make_policy(spec.policy, **kwargs)
-        except TypeError:
-            continue
-    raise ValueError(f"cannot construct policy {spec.policy!r}")
-
-
-def _make_workload(spec: ShardScenarioSpec, fabric) -> ShardHotSpotWorkload:
-    topology = fabric.topology
-    flows = spec.flows
-    if flows is None:
-        flows = default_flows(spec.topology, topology)
-    schedule = spec.schedule()
-    return ShardHotSpotWorkload(
-        fabric,
-        [HotSpotFlow(src, dst) for src, dst in flows],
-        rate_bps=spec.rate_bps,
-        schedule=schedule,
-        stop_s=schedule.end_time(),
-        noise_hosts=range(topology.num_hosts),
-        noise_rate_bps=spec.noise_rate_bps,
-        idle_rate_bps=spec.idle_rate_bps,
-        noise_seed=spec.seed,
-    )
-
-
-@dataclass
-class SerialContext:
-    """The serial oracle leg: digest installed, workload started."""
-
-    spec: ShardScenarioSpec
-    until: float
-    sim: Simulator
-    trace: EventTraceDigest
-    recorder: StatsRecorder
-    policy_obj: object
-    fabric: Fabric
-    workload: ShardHotSpotWorkload
-
-
 @dataclass
 class ShardContext:
     """One shard's leg: setup replayed, only owned roots enqueued."""
 
-    spec: ShardScenarioSpec
+    spec: Scenario
     shard_id: int
     until: float
     lookahead_s: float
@@ -236,7 +78,7 @@ class ShardContext:
     recorder: StatsRecorder
     policy_obj: object
     fabric: ShardFabric
-    workload: ShardHotSpotWorkload
+    workload: object
 
     def checkpoint_roots(self) -> dict:
         """The object-graph roots a per-shard checkpoint must carry."""
@@ -247,42 +89,6 @@ class ShardContext:
             "fabric": self.fabric,
             "workload": self.workload,
         }
-
-
-def build_serial(spec: ShardScenarioSpec, with_digest: bool = True) -> SerialContext:
-    """Construct (but do not run) the serial oracle leg.
-
-    ``with_digest=False`` skips installing the event-trace observer: the
-    bench's serial baseline must not pay a per-event cost the sharded
-    legs don't (digests don't change what executes, only what's hashed).
-    """
-    streams = RandomStreams(spec.seed)
-    sim = Simulator()
-    trace = EventTraceDigest()
-    if with_digest:
-        trace.install(sim)
-    recorder = StatsRecorder(window_s=spec.window_s)
-    policy_obj = _make_policy(spec, streams)
-    fabric = Fabric(
-        make_topology(spec.topology),
-        NetworkConfig(),
-        policy_obj,
-        sim,
-        recorder=recorder,
-        notification="router",
-    )
-    workload = _make_workload(spec, fabric)
-    workload.start()
-    return SerialContext(
-        spec=spec,
-        until=spec.until(),
-        sim=sim,
-        trace=trace,
-        recorder=recorder,
-        policy_obj=policy_obj,
-        fabric=fabric,
-        workload=workload,
-    )
 
 
 def _setup_owner(topology, plan: PartitionPlan):
@@ -304,16 +110,16 @@ def _setup_owner(topology, plan: PartitionPlan):
 
 
 def build_shard(
-    spec: ShardScenarioSpec,
+    spec: Scenario,
     shard_id: int,
     plan: PartitionPlan,
     verify: bool = False,
 ) -> ShardContext:
     """Construct (but do not run) one shard's leg of the scenario.
 
-    Mirrors :func:`build_serial` step for step; the only differences are
-    the shard-aware engine/fabric classes and the setup-mode bracket
-    around workload start.
+    Mirrors :func:`repro.scenario.build` step for step; the only
+    differences are the shard-aware engine/fabric classes and the
+    setup-mode bracket around workload start.
     """
     streams = RandomStreams(spec.seed)
     sim = ShardSimulator(shard_id, verify=verify)
@@ -324,20 +130,20 @@ def build_shard(
         if verify
         else StatsRecorder(window_s=spec.window_s)
     )
-    policy_obj = _make_policy(spec, streams)
+    policy_obj = scenario_policy(spec, streams)
     topology = make_topology(spec.topology)
     fabric = ShardFabric(
         topology,
-        NetworkConfig(),
+        NetworkConfig(**(spec.config or {})),
         policy_obj,
         sim,
         plan,
         recorder=recorder,
-        notification="router",
+        notification=spec.notification,
         verify=verify,
     )
     fabric.assert_shardable()
-    workload = _make_workload(spec, fabric)
+    workload = scenario_workload(spec, fabric, streams)
     sim.begin_setup(_setup_owner(topology, plan))
     workload.start()
     setup_ops = sim.end_setup()
@@ -355,15 +161,21 @@ def build_shard(
     )
 
 
+def _shardable(topology: str, repetitions: int) -> Scenario:
+    return Scenario(
+        topology,
+        routing_rng="flow",
+        noise_rng="host",
+        schedule=BurstSchedule(on_s=1.5e-4, off_s=1.5e-4, repetitions=repetitions),
+    )
+
+
 #: the pinned scenario registry (docs/sharding.md): ``verify`` gates on
 #: mesh8, ``bench`` measures mesh16 + the dragonfly group pairs, and
-#: ``large`` is the ISSUE's big-fabric checkpoint/resume workload.
-SCENARIOS: dict[str, ShardScenarioSpec] = {
-    spec.name: spec
-    for spec in (
-        ShardScenarioSpec(name="mesh8", topology="mesh:8"),
-        ShardScenarioSpec(name="mesh16", topology="mesh:16", repetitions=2),
-        ShardScenarioSpec(name="dragonfly", topology="dragonfly:4,2,2", repetitions=2),
-        ShardScenarioSpec(name="mesh32", topology="mesh:32", repetitions=1),
-    )
+#: mesh32 is the big-fabric checkpoint/resume workload.
+SCENARIOS: dict[str, Scenario] = {
+    "mesh8": _shardable("mesh:8", 3),
+    "mesh16": _shardable("mesh:16", 2),
+    "dragonfly": _shardable("dragonfly:4,2,2", 2),
+    "mesh32": _shardable("mesh:32", 1),
 }

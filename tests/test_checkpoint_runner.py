@@ -17,33 +17,39 @@ from pathlib import Path
 import pytest
 
 from repro.checkpoint.runner import (
-    build_context,
     code_version,
-    finish_context,
     load_scenario_checkpoint,
     save_scenario_checkpoint,
-    scenario_kinds,
 )
-from repro.checkpoint.state import SnapshotError
+from repro.scenario import KINDS, build_task, finish
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 POLICIES = ("deterministic", "drb", "fr-drb", "pr-drb")
 
 
-def _params(policy):
-    return {"policy": policy, "seed": 0, "mesh_side": 4, "repetitions": 3}
+def _params(policy, kind="replay"):
+    if kind in ("replay", "fault"):
+        return {"policy": policy, "seed": 0, "mesh_side": 4, "repetitions": 3}
+    common = {
+        "topology": "mesh:4", "policy": policy, "seed": 0, "rate_mbps": 1200,
+        "schedule": {"on_s": 1.5e-4, "off_s": 1.5e-4, "repetitions": 3},
+        "idle_rate_mbps": 200, "drain_s": 4e-4, "track_routers": True,
+    }
+    if kind == "hotspot":
+        return {**common, "flows": [[0, 13], [4, 13], [1, 15]], "noise_rate_mbps": 30}
+    return {**common, "pattern": "uniform"}
 
 
-@pytest.mark.parametrize("kind", ("replay", "fault"))
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_interrupt_anywhere_bit_identical(tmp_path, kind, policy):
-    params = _params(policy)
-    reference_context = build_context(kind, params)
+    params = _params(policy, kind)
+    reference_context = build_task(kind, params)
     reference_context.sim.run(until=reference_context.until)
-    reference = finish_context(reference_context)
+    reference = finish(reference_context)
 
-    interrupted = build_context(kind, params)
+    interrupted = build_task(kind, params)
     interrupted.sim.run(until=interrupted.until / 2)
     ckpt = tmp_path / "mid.ckpt"
     header = save_scenario_checkpoint(interrupted, ckpt, meta={"policy": policy})
@@ -54,18 +60,20 @@ def test_interrupt_anywhere_bit_identical(tmp_path, kind, policy):
     loaded_header, resumed = load_scenario_checkpoint(ckpt)
     assert loaded_header == header
     resumed.sim.run(until=resumed.until)
-    assert finish_context(resumed) == reference
+    assert finish(resumed) == reference
 
 
 def test_scenario_kinds_are_the_resumable_set():
-    from repro.parallel.worker import RESUMABLE_KINDS
+    # Every simulation task kind builds through the one scenario
+    # builder, so every one of them checkpoints and resumes.
+    from repro.parallel.worker import TASK_KINDS
 
-    assert scenario_kinds() == RESUMABLE_KINDS
+    assert set(KINDS) == set(TASK_KINDS) - {"selftest"}
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(SnapshotError, match="unknown scenario kind"):
-        build_context("mystery", {})
+    with pytest.raises(ValueError, match="unknown scenario kind"):
+        build_task("mystery", {})
 
 
 def test_restore_is_oblivious_to_global_pid_counter(tmp_path):
@@ -75,7 +83,7 @@ def test_restore_is_oblivious_to_global_pid_counter(tmp_path):
     from repro.network.packet import pid_counter_value, set_pid_counter
 
     params = _params("pr-drb")
-    context = build_context("replay", params)
+    context = build_task("replay", params)
     context.sim.run(until=context.until / 2)
     ckpt = tmp_path / "mid.ckpt"
     save_scenario_checkpoint(context, ckpt)
@@ -86,9 +94,9 @@ def test_restore_is_oblivious_to_global_pid_counter(tmp_path):
     assert pid_counter_value() == saved_counter
     resumed.sim.run(until=resumed.until)
 
-    reference_context = build_context("replay", params)
+    reference_context = build_task("replay", params)
     reference_context.sim.run(until=reference_context.until)
-    assert finish_context(resumed) == finish_context(reference_context)
+    assert finish(resumed) == finish(reference_context)
 
 
 def test_cli_save_info_restore_roundtrip(tmp_path):
@@ -120,7 +128,7 @@ def test_cli_save_info_restore_roundtrip(tmp_path):
     assert restore.returncode == 0, restore.stderr
     resumed = json.loads(restore.stdout)
 
-    reference_context = build_context("replay", {"policy": "pr-drb", "seed": 0,
+    reference_context = build_task("replay", {"policy": "pr-drb", "seed": 0,
                                                  "mesh_side": 4, "repetitions": 2})
     reference_context.sim.run(until=reference_context.until)
-    assert resumed == finish_context(reference_context)
+    assert resumed == finish(reference_context)

@@ -21,17 +21,29 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.replay import run_scenario
-from repro.checkpoint.runner import build_context, save_scenario_checkpoint
+from repro.checkpoint.runner import save_scenario_checkpoint
 from repro.parallel.cache import ResultCache, _merge_manifests
 from repro.parallel.orchestrator import SweepConfig, run_sweep
 from repro.parallel.tasks import SimTask, code_version, task_key
-from repro.parallel.worker import CHECKPOINTED_EXIT, RESUMABLE_KINDS, execute_task
+from repro.parallel.worker import CHECKPOINTED_EXIT, TASK_KINDS, execute_task
+from repro.scenario import KINDS, build_task
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 #: one mid-size pr-drb cell: long enough that a periodic checkpoint (at
 #: the shortened REPRO_CHECKPOINT_EVERY below) lands well before the end.
 PARAMS = {"policy": "pr-drb", "seed": 0, "mesh_side": 6, "repetitions": 40}
+
+#: the same idea for an experiment-runner hot-spot cell.
+HOTSPOT_PARAMS = {
+    "topology": "mesh:6", "policy": "pr-drb", "seed": 0,
+    "flows": [[0, 31], [6, 31], [1, 35]], "rate_mbps": 1200,
+    "schedule": {"on_s": 1.5e-4, "off_s": 1.5e-4, "start_s": 0.0, "repetitions": 40},
+    "noise_rate_mbps": 30, "idle_rate_mbps": 200, "drain_s": 4e-4,
+    "notification": "router",
+}
+
+CELLS = {"replay": PARAMS, "hotspot": HOTSPOT_PARAMS}
 
 
 @pytest.fixture(scope="module")
@@ -40,24 +52,24 @@ def reference():
     return run_scenario(**PARAMS).to_dict()
 
 
-def _child_source(ckpt: str) -> str:
+def _child_source(ckpt: str, kind: str) -> str:
     return textwrap.dedent(
         f"""
         import json, sys
         sys.path.insert(0, {REPO_SRC!r})
         from repro.parallel.tasks import SimTask
         from repro.parallel.worker import execute_task
-        task = SimTask(kind="replay", params={PARAMS!r}, label="resume-test")
+        task = SimTask(kind={kind!r}, params={CELLS[kind]!r}, label="resume-test")
         result = execute_task(task, checkpoint_path={ckpt!r})
         print(json.dumps(result))
         """
     )
 
 
-def _run_child(ckpt: str, *, interrupt: bool) -> subprocess.Popen:
+def _run_child(ckpt: str, *, interrupt: bool, kind: str = "replay") -> subprocess.Popen:
     env = dict(os.environ, REPRO_CHECKPOINT_EVERY="500", PYTHONPATH=REPO_SRC)
     proc = subprocess.Popen(
-        [sys.executable, "-c", _child_source(ckpt)],
+        [sys.executable, "-c", _child_source(ckpt, kind)],
         env=env,
         stdout=subprocess.PIPE,
         text=True,
@@ -68,19 +80,23 @@ def _run_child(ckpt: str, *, interrupt: bool) -> subprocess.Popen:
             if time.monotonic() > deadline:  # repro: allow(no-wall-clock)
                 proc.kill()
                 pytest.fail("no periodic checkpoint appeared within 120s")
+            if proc.poll() is not None:
+                pytest.fail("the cell ran to completion without a periodic checkpoint")
             time.sleep(0.02)
         proc.send_signal(signal.SIGTERM)
     return proc
 
 
-def test_sigterm_parks_checkpoint_and_resume_is_bit_identical(tmp_path, reference):
+@pytest.mark.parametrize("kind", ("replay", "hotspot"))
+def test_sigterm_parks_checkpoint_and_resume_is_bit_identical(tmp_path, kind):
+    reference = execute_task(SimTask(kind=kind, params=CELLS[kind]))
     ckpt = str(tmp_path / "cell.ckpt")
-    proc = _run_child(ckpt, interrupt=True)
+    proc = _run_child(ckpt, interrupt=True, kind=kind)
     proc.wait(timeout=60)
     assert proc.returncode == CHECKPOINTED_EXIT
     assert os.path.exists(ckpt), "interrupted worker left no checkpoint"
 
-    resumed = _run_child(ckpt, interrupt=False)
+    resumed = _run_child(ckpt, interrupt=False, kind=kind)
     out, _ = resumed.communicate(timeout=300)
     assert resumed.returncode == 0
     result = json.loads(out.strip().splitlines()[-1])
@@ -95,7 +111,7 @@ def test_orchestrator_resumes_parked_checkpoint(tmp_path, reference):
     key = task_key(task, code_version())
 
     # Park a mid-run checkpoint exactly where an interrupted worker would.
-    context = build_context(task.kind, task.params)
+    context = build_task(task.kind, task.params)
     context.sim.run(until=context.until / 2)
     ckpt = cache.checkpoint_path_for(key)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
@@ -126,7 +142,10 @@ def test_resumable_kinds_and_exit_code_are_stable():
     # The orchestrator and CI scripts key off these values; changing them
     # silently would strand old checkpoints.
     assert CHECKPOINTED_EXIT == 75  # EX_TEMPFAIL: retriable by design
-    assert set(RESUMABLE_KINDS) == {"replay", "fault"}
+    # Every simulation kind builds through repro.scenario, so every one
+    # of them resumes; only the selftest double does not.
+    assert set(KINDS) == {"replay", "fault", "hotspot", "pattern"}
+    assert set(TASK_KINDS) == set(KINDS) | {"selftest"}
 
 
 def test_corrupt_checkpoint_falls_back_to_fresh_run(tmp_path, reference):

@@ -159,6 +159,25 @@ class TestEndToEnd:
         finally:
             service.bus.unsubscribe(stalled)
 
+    def test_job_stream_closes_on_terminal_frame(self, server):
+        # No idle/limit: the stream ends by itself.  The read timeout sits
+        # below the 5 s heartbeat, so a stream left open fails the test
+        # instead of hanging it.
+        base, service = server
+        job_id = _post(base, "/jobs", dict(SPEC, seeds=[4]))["job"]["id"]
+        frames = _read_sse(base, f"/jobs/{job_id}/events", max_s=4.0)
+        assert frames[0][0] == "state"
+        kind, last = frames[-1]
+        assert kind == "job" and last["data"]["state"] == "done"
+        # Finished: the backlog replays and the stream ends on the same frame.
+        assert _read_sse(base, f"/jobs/{job_id}/events", max_s=4.0)[-1] == frames[-1]
+        # Finished with its backlog evicted: only the opening state frame.
+        with service.bus._lock:
+            del service.bus._backlogs[job_id]
+        frames = _read_sse(base, f"/jobs/{job_id}/events", max_s=4.0)
+        assert [k for k, _ in frames] == ["state"]
+        assert frames[0][1]["job"]["state"] == "done"
+
     def test_sse_limit_closes_stream(self, server):
         base, _service = server
         _post(base, "/jobs", dict(SPEC, seeds=[3]))

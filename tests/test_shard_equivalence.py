@@ -19,12 +19,12 @@ from repro.analysis.replay import digest_metrics
 from repro.network.config import NetworkConfig
 from repro.network.packet import Packet
 from repro.parallel.tasks import make_topology
+from repro.scenario import build
 from repro.shard import (
     SCENARIOS,
     LookaheadViolation,
     MergeError,
     ShardConfigError,
-    build_serial,
     build_shard,
     collect_result,
     merge_results,
@@ -36,7 +36,10 @@ from repro.topology.partition import partition_topology
 
 #: one on/off repetition keeps the pinned workload small enough for
 #: tier-1 while still crossing shard boundaries thousands of times.
-LEAN = dataclasses.replace(SCENARIOS["mesh8"], repetitions=1)
+LEAN = dataclasses.replace(
+    SCENARIOS["mesh8"],
+    schedule=dataclasses.replace(SCENARIOS["mesh8"].schedule, repetitions=1),
+)
 
 
 def run_inprocess(spec, num_shards):
@@ -72,11 +75,11 @@ def run_inprocess(spec, num_shards):
 
 
 def serial_digests(spec):
-    ctx = build_serial(spec)
-    ctx.sim.run(until=ctx.until)
+    ctx = build(spec)
+    ctx.run()
     return (
         ctx.trace.hexdigest(),
-        digest_metrics(ctx.fabric, ctx.recorder, ctx.policy_obj),
+        digest_metrics(ctx.fabric, ctx.recorder, ctx.policy),
         ctx.trace.events,
     )
 
@@ -84,7 +87,7 @@ def serial_digests(spec):
 @pytest.mark.parametrize("policy", ["deterministic", "pr-drb", "notified-adaptive"])
 @pytest.mark.parametrize("num_shards", [2, 4])
 def test_inprocess_sharded_digests_match_serial(policy, num_shards):
-    spec = LEAN.with_policy(policy)
+    spec = dataclasses.replace(LEAN, policy=policy)
     trace, metrics, events = serial_digests(spec)
     merged = merge_results(spec, run_inprocess(spec, num_shards), spec.until())
     assert merged.events == events
