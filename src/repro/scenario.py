@@ -3,8 +3,8 @@
 The evaluation (§4.3) runs the *same* workload — same seeds, same
 injection times — under each routing policy, so the scenario is the unit
 every comparison rests on.  A :class:`Scenario` describes one completely
-in plain values; it is frozen and JSON-round-trippable, so it travels to
-spawn workers, into cache keys and into checkpoints.
+in plain values; it is frozen, and a checkpoint carries it with the
+context it built.
 
 :func:`build` turns a spec into a :class:`Context` — streams, simulator,
 trace digest, recorder, policy, fabric, faults and workload, constructed
@@ -21,7 +21,7 @@ its fields to :class:`Scenario` and a branch to :func:`scenario_workload`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.network.config import NetworkConfig, ReliabilityConfig
@@ -84,12 +84,8 @@ class Scenario:
     policy: str = "pr-drb"
     seed: int = 0
     #: where the policy's random draws come from: the seeded ``routing``
-    #: stream, per-flow ``named_generator`` streams (``"flow"``, which
-    #: sharding needs), or the policy's own ``"default"`` generator.
+    #: stream, or the policy's own ``"default"`` generator.
     routing_rng: str = "stream"
-    #: hot-spot noise destinations: the shared ``noise`` stream, or one
-    #: ``named_generator`` per ``"host"`` (shard-invariant).
-    noise_rng: str = "stream"
     notification: str = "router"
     #: :class:`~repro.network.config.NetworkConfig` keyword overrides.
     config: Optional[dict] = None
@@ -119,10 +115,8 @@ class Scenario:
     faults: Optional[Faults] = None
 
     def __post_init__(self) -> None:
-        if self.routing_rng not in ("stream", "flow", "default"):
+        if self.routing_rng not in ("stream", "default"):
             raise ValueError(f"unknown routing_rng {self.routing_rng!r}")
-        if self.noise_rng not in ("stream", "host"):
-            raise ValueError(f"unknown noise_rng {self.noise_rng!r}")
 
     def stop(self) -> Optional[float]:
         """When injection stops (None without a workload)."""
@@ -135,24 +129,6 @@ class Scenario:
         if self.drain_s is None:
             return None
         return self.stop() + self.drain_s
-
-    def to_dict(self) -> dict:
-        """JSON-ready form; :meth:`from_dict` inverts it exactly."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        data = dict(data)
-        data["schedule"] = _schedule(data.get("schedule"))
-        faults = data.get("faults")
-        if faults is not None:
-            reliability = ReliabilityConfig(**faults["reliability"])
-            data["faults"] = Faults(**{**faults, "reliability": reliability})
-        if data.get("flows") is not None:
-            data["flows"] = tuple((int(s), int(d)) for s, d in data["flows"])
-        if data.get("hosts") is not None:
-            data["hosts"] = tuple(int(h) for h in data["hosts"])
-        return cls(**data)
 
 
 def _schedule(data: Optional[dict]) -> Optional[BurstSchedule]:
@@ -240,8 +216,7 @@ def scenario_policy(spec: Scenario, streams):
     if spec.routing_rng == "default":
         return make_policy(spec.policy)
     rng = streams.stream("routing")
-    flow_seeded = [{"rng": rng, "flow_seeded": True}] if spec.routing_rng == "flow" else []
-    for kwargs in (*flow_seeded, {"rng": rng}, {}):
+    for kwargs in ({"rng": rng}, {}):
         try:
             return make_policy(spec.policy, **kwargs)
         except TypeError:
@@ -274,8 +249,6 @@ def scenario_workload(spec: Scenario, fabric, streams):
         noise_hosts=range(topology.num_hosts), noise_rate_bps=spec.noise_rate_bps,
         idle_rate_bps=spec.idle_rate_bps,
     )
-    if spec.noise_rng == "host":
-        return gen.ShardHotSpotWorkload(fabric, flows, noise_seed=spec.seed, **common)
     return gen.HotSpotWorkload(fabric, flows, rng=streams.stream("noise"), **common)
 
 

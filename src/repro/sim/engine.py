@@ -447,56 +447,6 @@ class Simulator(Snapshottable):
             self._events_executed += executed - flushed
         return executed
 
-    def run_until(self, bound: float, max_events: Optional[int] = None) -> int:
-        """Execute every event with ``time < bound`` (strict lower bound).
-
-        The windowed counterpart of :meth:`run` for conservative parallel
-        synchronization (docs/sharding.md): a shard that has exchanged
-        lookahead guarantees may safely execute all events *strictly
-        before* the agreed bound, but must not touch the bound itself —
-        an arrival at exactly ``bound`` may still be delivered by a peer.
-        Unlike :meth:`run`, the clock is **not** advanced to ``bound``
-        when the queue drains or the head passes it: ``now`` stays at the
-        last executed event so a later cross-shard arrival at
-        ``bound <= t`` can still be scheduled without tripping the
-        past-time guard.  Returns the number of events executed.
-        """
-        executed = 0
-        self._running = True
-        self._stopped = False
-        queue = self._queue
-        free = self._free
-        pop = heapq.heappop
-        limit = math.inf if max_events is None else max_events
-        try:
-            while queue:
-                if self._stopped or executed >= limit:
-                    break
-                event = queue[0]
-                if event[_TIME] >= bound:
-                    break
-                pop(queue)
-                if event[_CANCELLED]:
-                    event[_FN] = _never
-                    event[_ARGS] = ()
-                    free.append(event)
-                    continue
-                self.now = event[_TIME]
-                hook = self._dispatch
-                if hook is not None:
-                    hook(event)
-                fn = event[_FN]
-                args = event[_ARGS]
-                fn(*args)
-                executed += 1
-                event[_FN] = _never
-                event[_ARGS] = ()
-                free.append(event)
-        finally:
-            self._running = False
-            self._events_executed += executed
-        return executed
-
     def step(self) -> bool:
         """Execute exactly one (non-cancelled) event; return False if empty.
 
@@ -547,29 +497,3 @@ class Simulator(Snapshottable):
     def events_executed(self) -> int:
         """Total callbacks executed over the simulator's lifetime."""
         return self._events_executed
-
-    def compact_head(self) -> int:
-        """Discard cancelled events from the head of the queue.
-
-        Cancelled events stay in the heap as placeholders until they
-        surface; this pops any that have reached the head so that
-        :attr:`pending` and :meth:`peek_time` reflect live work.  Returns
-        the number of placeholders discarded.  This is the *only* place
-        (besides execution itself) that removes entries from the calendar.
-        """
-        discarded = 0
-        queue = self._queue
-        while queue and queue[0][_CANCELLED]:
-            self._recycle(heapq.heappop(queue))
-            discarded += 1
-        return discarded
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None when the queue is empty.
-
-        Calls :meth:`compact_head` first, so cancelled placeholders at the
-        head are dropped — the observable clock/ordering semantics are
-        unaffected, but ``pending`` may decrease.
-        """
-        self.compact_head()
-        return self._queue[0][_TIME] if self._queue else None

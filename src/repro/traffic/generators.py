@@ -5,8 +5,7 @@ per-node rate (e.g. the paper's 400/600 Mbps) following a traffic pattern
 and a bursty envelope.  :class:`HotSpotWorkload` reproduces the specific
 hot-spot scheme of §4.5: a handful of flows whose minimal paths share
 trajectory segments, plus uniform background noise from the remaining
-nodes; :class:`ShardHotSpotWorkload` draws that noise from per-host
-streams, so it stays identical when a shard runs only some hosts.
+nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from repro.checkpoint.state import Snapshottable
 from repro.network.fabric import Fabric
-from repro.sim.rng import named_generator, seeded_generator
+from repro.sim.rng import seeded_generator
 from repro.traffic.bursty import BurstSchedule
 from repro.traffic.patterns import TrafficPattern
 
@@ -220,41 +219,6 @@ class HotSpotWorkload(Snapshottable):
             return
         n = self.fabric.topology.num_hosts
         dst = int(self.rng.integers(n - 1))
-        dst = dst if dst < host else dst + 1
-        self.fabric.send(host, dst, self.message_bytes)
-        self.fabric.sim.schedule(interval, self._inject_noise, host, interval)
-
-
-class ShardHotSpotWorkload(HotSpotWorkload):
-    """Hot-spot workload whose noise draws are per-host streams.
-
-    The base class draws every host's random destination from one shared
-    generator, so the draw order — and therefore every destination —
-    depends on the global interleaving of noise injections.  A shard
-    only executes its own hosts' injections, which would silently shift
-    every destination.  Per-host ``named_generator(seed, "noise:<h>")``
-    streams make each host's sequence a pure function of (seed, host).
-    """
-
-    _snapshot_fields_: ClassVar[tuple[str, ...]] = ("noise_seed", "noise_rngs")
-
-    def __init__(self, *args, noise_seed: int = 0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.noise_seed = int(noise_seed)
-        #: built eagerly for every noise host: generator state must not
-        #: depend on which hosts a shard happens to execute.
-        self.noise_rngs = {
-            host: named_generator(self.noise_seed, f"noise:{host}")
-            for host in self.noise_hosts
-        }
-
-    def _inject_noise(self, host: int, interval: float) -> None:
-        now = self.fabric.sim.now
-        if now >= self.stop_s:
-            return
-        n = self.fabric.topology.num_hosts
-        rng = self.noise_rngs[host]
-        dst = int(rng.integers(n - 1))
         dst = dst if dst < host else dst + 1
         self.fabric.send(host, dst, self.message_bytes)
         self.fabric.sim.schedule(interval, self._inject_noise, host, interval)

@@ -1,7 +1,7 @@
 """The event-trace digest's bytes are frozen.
 
-Every committed digest (perf baseline, checkpoint verify, shard verify,
-serve selftest, the benchmark's expected event-trace digests) hashes the
+Every committed digest (perf baseline, checkpoint verify, serve
+selftest, the benchmark's expected event-trace digests) hashes the
 record ``EventTraceDigest.update`` packs per event.  A faster ``update``
 must pack exactly the same bytes, so this test feeds a fixed, hand-built
 event sequence and compares against a recorded hex.  The sequence mixes

@@ -1,8 +1,6 @@
 """``python -m repro.obs tail``: rendering, filters, growth-following."""
 
 import io
-import threading
-import time
 
 from repro.obs.cli import _record_matches, main as obs_main, render_record, tail_trace
 from repro.obs.tracer import JsonlSink, TraceRecord
@@ -81,23 +79,28 @@ class TestTail:
         trace = tmp_path / "t.jsonl"
         _write_trace(trace, _RECORDS[:1])
 
-        def append_later():
-            time.sleep(0.1)
-            with open(trace, "a", encoding="utf-8") as fh:
-                fh.write(
-                    '{"name":"packet.deliver","ph":"i","track":["flow","0-5"],'
-                    '"ts":4e-06}\n'
-                )
+        class GrowOnFirstWrite(io.StringIO):
+            """Appends record two while record one is being printed."""
 
-        writer = threading.Thread(target=append_later)
-        writer.start()
-        out = io.StringIO()
+            grown = False
+
+            def write(self, text):
+                if not self.grown:
+                    self.grown = True
+                    with open(trace, "a", encoding="utf-8") as fh:
+                        fh.write(
+                            '{"name":"packet.deliver","ph":"i","track":["flow","0-5"],'
+                            '"ts":4e-06}\n'
+                        )
+                return super().write(text)
+
+        out = GrowOnFirstWrite()
         printed = tail_trace(
             trace, follow=True, interval_s=0.02, max_records=2, idle_timeout_s=5.0,
             out=out,
         )
-        writer.join()
         assert printed == 2
+        assert "packet.deliver" in out.getvalue().splitlines()[1]
 
     def test_follow_idle_timeout_returns(self, tmp_path):
         trace = tmp_path / "t.jsonl"

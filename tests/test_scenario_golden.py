@@ -2,10 +2,9 @@
 
 ``src/repro/perf/baseline.json`` pins the replay scenario for the four
 default policies.  The other entry points — the fault campaign, the
-``hotspot``/``pattern`` worker cells, the pinned mesh8 and dragonfly
-workloads, and the shard ``mesh8`` serial leg — are pinned here, so a
-change to how scenarios are built must reproduce every one of them bit
-for bit.  Entry points without a built-in event digest get one through
+``hotspot``/``pattern`` worker cells, and the pinned mesh8 and
+dragonfly workloads — are pinned here, so a change to how scenarios are
+built must reproduce every one of them bit for bit.  Entry points without a built-in event digest get one through
 :func:`_traced`, which installs an :class:`EventTraceDigest` on every
 simulator constructed while it is active.
 """
@@ -14,7 +13,7 @@ import hashlib
 
 import pytest
 
-from repro.analysis.replay import EventTraceDigest, digest_metrics
+from repro.analysis.replay import EventTraceDigest
 from repro.parallel.tasks import SimTask, canonical_json
 from repro.sim.engine import Simulator
 
@@ -140,22 +139,4 @@ def test_pinned_dragonfly_workload_digest():
     )
     assert _sha(run["policy_stats"]) == (
         "801988f77c55491c85bb6d0e828992f1d382c0cc6e4820f73301906a98aff7a4"
-    )
-
-
-def test_shard_mesh8_serial_leg_digest():
-    from repro.shard import SCENARIOS
-
-    try:
-        from repro.scenario import build
-    except ImportError:  # trees without repro.scenario name it build_serial
-        from repro.shard.scenarios import build_serial as build
-    context = build(SCENARIOS["mesh8"])
-    context.sim.run(until=context.until)
-    assert context.trace.events == 8719
-    assert context.trace.hexdigest() == (
-        "a98122ec1cac0d70a18afa29868797cdb894788a3f7bd02d965313add3db7ff3"
-    )
-    assert digest_metrics(context.fabric, context.recorder, context.fabric.policy) == (
-        "4315817714e2020115d9043fa81bf46c0dc688ad1effb5e05982c80537506739"
     )

@@ -7,7 +7,6 @@ exactly like an external client would.
 
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 
@@ -54,16 +53,6 @@ def _post(base, path, payload):
         return json.loads(response.read().decode("utf-8"))
 
 
-def _wait_terminal(base, job_id, max_s=30.0):
-    deadline = time.monotonic() + max_s  # repro: allow(no-wall-clock)
-    while time.monotonic() < deadline:  # repro: allow(no-wall-clock)
-        job = _get(base, f"/jobs/{job_id}")
-        if job["state"] in ("done", "failed"):
-            return job
-        time.sleep(0.05)
-    raise AssertionError(f"job {job_id} never reached a terminal state")
-
-
 def _read_sse(base, path, max_s=30.0):
     frames = []
     with urllib.request.urlopen(base + path, timeout=max_s) as response:
@@ -80,6 +69,20 @@ def _read_sse(base, path, max_s=30.0):
                 frames.append((event_type, json.loads(data)))
                 event_type = data = None
     return frames
+
+
+def _wait_terminal(base, job_id):
+    """The job as of its terminal frame.
+
+    A job stream closes after the frame in which the job reaches
+    ``done``/``failed`` (or right after the opening ``state`` frame when
+    the job is already terminal and its backlog was evicted), so reading
+    it to the end is the wait.
+    """
+    kind, data = _read_sse(base, f"/jobs/{job_id}/events")[-1]
+    job = data["job"] if kind == "state" else data["data"]["job"]
+    assert job["state"] in ("done", "failed"), f"job {job_id} stream ended at {kind!r}"
+    return job
 
 
 class TestEndToEnd:

@@ -48,7 +48,7 @@ def test_schedule_in_past_rejected():
         sim.schedule_at(0.5, lambda: None)
 
 
-def test_run_until_stops_clock_at_limit():
+def test_run_with_until_stops_clock_at_limit():
     sim = Simulator()
     fired = []
     sim.schedule(10.0, fired.append, 1)
@@ -60,7 +60,7 @@ def test_run_until_stops_clock_at_limit():
     assert fired == [1]
 
 
-def test_run_until_with_empty_queue_advances_clock():
+def test_run_with_until_and_empty_queue_advances_clock():
     sim = Simulator()
     sim.run(until=2.5)
     assert sim.now == 2.5
@@ -128,14 +128,6 @@ def test_step_executes_single_event():
     assert sim.step() is False
 
 
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    ev = sim.schedule(1.0, lambda: None)
-    sim.schedule(5.0, lambda: None)
-    ev.cancel()
-    assert sim.peek_time() == 5.0
-
-
 def test_events_executed_counter():
     sim = Simulator()
     for i in range(4):
@@ -167,34 +159,6 @@ def test_stop_then_run_resumes_after_resume():
     sim.resume()
     sim.run()
     assert sim.now == 2.0
-
-
-def test_compact_head_discards_cancelled_prefix():
-    sim = Simulator()
-    a = sim.schedule(1.0, lambda: None)
-    b = sim.schedule(2.0, lambda: None)
-    sim.schedule(3.0, lambda: None)
-    a.cancel()
-    b.cancel()
-    assert sim.pending == 3  # lazy: cancelled events stay queued
-    assert sim.compact_head() == 2
-    assert sim.pending == 1
-    assert sim.compact_head() == 0
-
-
-def test_peek_time_compacts_explicitly():
-    sim = Simulator()
-    ev = sim.schedule(1.0, lambda: None)
-    sim.schedule(5.0, lambda: None)
-    ev.cancel()
-    assert sim.peek_time() == 5.0
-    # The documented side effect: the cancelled head is gone afterwards.
-    assert sim.pending == 1
-
-
-def test_peek_time_empty_queue():
-    sim = Simulator()
-    assert sim.peek_time() is None
 
 
 # ----------------------------------------------------------------------
@@ -386,74 +350,6 @@ def test_step_dispatches_observers():
     assert seen == [1.0]
 
 
-# ----------------------------------------------------------------------
-# Windowed execution (run_until) — the shard barrier-window primitive
-# ----------------------------------------------------------------------
-def test_run_until_bound_is_strict():
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(1.0, fired.append, "in")
-    sim.schedule_at(2.0, fired.append, "at-bound")
-    executed = sim.run_until(2.0)
-    assert executed == 1
-    assert fired == ["in"]
-    # The bound event is still pending: a peer may deliver at exactly 2.0.
-    assert sim.peek_time() == 2.0
-
-
-def test_run_until_does_not_advance_clock_to_bound():
-    sim = Simulator()
-    sim.schedule_at(1.0, lambda: None)
-    sim.schedule_at(9.0, lambda: None)
-    sim.run_until(5.0)
-    # Unlike run(until=...), the clock stays at the last executed event
-    # so a cross-shard arrival inside [now, bound] is still schedulable.
-    assert sim.now == 1.0
-    sim.schedule_at(3.0, lambda: None)  # would raise if now were 5.0
-    assert sim.peek_time() == 3.0
-
-
-def test_run_until_empty_heap_is_a_noop():
-    sim = Simulator()
-    assert sim.run_until(10.0) == 0
-    assert sim.now == 0.0
-    assert sim.peek_time() is None
-
-
-def test_run_until_skips_cancelled_head_without_counting():
-    sim = Simulator()
-    fired = []
-    ev = sim.schedule_at(1.0, fired.append, "dead")
-    sim.schedule_at(2.0, fired.append, "live")
-    ev.cancel()
-    executed = sim.run_until(3.0)
-    assert executed == 1
-    assert fired == ["live"]
-    assert sim.events_executed == 1
-
-
-def test_run_until_respects_max_events():
-    sim = Simulator()
-    for i in range(5):
-        sim.schedule_at(float(i), lambda: None)
-    assert sim.run_until(10.0, max_events=2) == 2
-    assert sim.pending == 3
-
-
-def test_run_until_respects_stop_from_callback():
-    sim = Simulator()
-    fired = []
-
-    def first():
-        fired.append(1)
-        sim.stop()
-
-    sim.schedule_at(1.0, first)
-    sim.schedule_at(2.0, fired.append, 2)
-    assert sim.run_until(5.0) == 1
-    assert fired == [1]
-
-
 def test_cancel_after_execution_is_harmless_to_freelist_reuse():
     sim = Simulator()
     fired = []
@@ -467,26 +363,15 @@ def test_cancel_after_execution_is_harmless_to_freelist_reuse():
     assert fired == ["first", "second"]
 
 
-def test_cancel_after_run_until_recycle_is_harmless():
+def test_cancel_after_cancelled_recycle_is_harmless():
     sim = Simulator()
     fired = []
     dead = sim.schedule_at(1.0, fired.append, "dead")
     dead.cancel()
-    sim.run_until(2.0)  # recycles the cancelled placeholder
+    sim.run(until=2.0)  # recycles the cancelled placeholder
     dead.cancel()  # second cancel on the freelisted entry
     sim.schedule_at(3.0, fired.append, "reused")
-    sim.run_until(4.0)
+    sim.run(until=4.0)
     assert fired == ["reused"]
 
 
-def test_peek_time_recycled_entries_are_reusable():
-    sim = Simulator()
-    a = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    a.cancel()
-    assert sim.peek_time() == 2.0  # compacts: `a`'s entry is freelisted
-    fired = []
-    sim.schedule(0.5, fired.append, "fresh")  # reuses the freelist entry
-    assert sim.peek_time() == 0.5
-    sim.run()
-    assert fired == ["fresh"]
