@@ -4,12 +4,9 @@ Measures the discrete-event engine's raw event rate and a packet's
 end-to-end cost through the fabric, so regressions in the substrate are
 visible independently of the Chapter-4 experiments.
 
-``bench_hotspot_events_per_s`` is the headline number: the pinned
-congested hot-spot workload from :mod:`repro.perf`, rated per policy and
-compared against the recorded pre-optimization baseline.  Run standalone
-to regenerate ``BENCH_engine.json`` at the repo root:
-
-    PYTHONPATH=src python benchmarks/bench_engine_throughput.py [--quick]
+``bench_hotspot_events_per_s`` runs the pinned congested hot-spot
+workload from :mod:`repro.perf` and asserts its digest gate.  Host speed
+is measured by the ``perfbench/`` benchmark (``BENCHMARK.json``).
 """
 
 from repro.network.config import NetworkConfig
@@ -64,16 +61,3 @@ def bench_hotspot_events_per_s(benchmark):
     assert executed == 60_000
     results = check_digests(["deterministic"], load_baseline())
     assert results["deterministic"]["ok"], "digest drift: see repro.perf"
-
-
-def main() -> int:
-    """Regenerate BENCH_engine.json via the repro.perf suite driver."""
-    from repro.perf import main as perf_main
-
-    import sys
-
-    return perf_main(sys.argv[1:])
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -50,7 +50,7 @@ def main() -> None:
     topo = Mesh2D(8)
     schedule = BurstSchedule(on_s=3e-4, off_s=6e-4, repetitions=BURSTS)
     runs = run_hotspot_workload(
-        lambda: Mesh2D(8),
+        "mesh:8",
         ["drb", "pr-drb"],
         HOTSPOT_FLOWS,
         rate_mbps=HOTSPOT_RATE_MBPS,

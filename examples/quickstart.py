@@ -9,7 +9,8 @@ baseline, DRB, and PR-DRB.
 Run:  python examples/quickstart.py
 """
 
-from repro import BurstSchedule, build_network, run_synthetic
+from repro import BurstSchedule
+from repro.scenario import Scenario, build
 
 #: four communication bursts separated by computation phases (Fig. 2.6).
 SCHEDULE = BurstSchedule(on_s=3e-4, off_s=5e-4, repetitions=4)
@@ -18,22 +19,17 @@ SCHEDULE = BurstSchedule(on_s=3e-4, off_s=5e-4, repetitions=4)
 def main() -> None:
     print(f"{'policy':15s} {'mean latency':>14s} {'p99':>12s} {'accepted':>9s}")
     for policy in ("deterministic", "drb", "pr-drb"):
-        net = build_network(topology="fattree", k=4, n=3, policy=policy,
-                            notification="router")
-        result = run_synthetic(
-            net,
-            pattern="perfect-shuffle",
-            rate_mbps=1200,
-            duration_s=SCHEDULE.end_time(),
-            hosts=range(32),
-            schedule=SCHEDULE,
-            drain_s=1.5e-3,
-        )
-        summary = result.summary()
+        context = build(Scenario(
+            "fattree:4,3", policy, routing_rng="default", window_s=50e-6,
+            schedule=SCHEDULE, pattern="perfect-shuffle", hosts=tuple(range(32)),
+            rate_bps=1200e6, idle_rate_bps=0.0, drain_s=1.5e-3,
+        ))
+        context.run()
+        recorder = context.recorder
         print(
-            f"{policy:15s} {summary['mean_latency_s'] * 1e6:11.2f} us "
-            f"{summary['p99_latency_s'] * 1e6:9.2f} us "
-            f"{summary['accepted_ratio']:8.2f}"
+            f"{policy:15s} {recorder.mean_latency_s * 1e6:11.2f} us "
+            f"{recorder.latency_percentile(99) * 1e6:9.2f} us "
+            f"{context.fabric.accepted_ratio():8.2f}"
         )
     print("\nLower is better; DRB/PR-DRB balance traffic over alternative")
     print("paths while the deterministic baseline keeps colliding flows on")

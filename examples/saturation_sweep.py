@@ -10,7 +10,6 @@ Run:  python examples/saturation_sweep.py
 """
 
 from repro.experiments.runner import run_pattern_workload
-from repro.topology.fattree import KaryNTree
 from repro.traffic.bursty import BurstSchedule
 from repro.viz import horizontal_bars, sparkline
 
@@ -23,7 +22,7 @@ def main() -> None:
     print("sweeping offered load (this takes ~a minute)...")
     for rate in RATES:
         runs = run_pattern_workload(
-            lambda: KaryNTree(4, 3),
+            "fattree:4,3",
             POLICIES,
             "perfect-shuffle",
             rate_mbps=rate,

@@ -3,8 +3,7 @@
 
 The HPC-Python discipline: no optimization without measuring.  This
 script cProfiles a representative congested simulation — the same pinned
-hot-spot workload that ``python -m repro.perf`` rates and
-``baseline.json`` records — and prints the top functions by cumulative
+hot-spot workload :data:`repro.perf.PINNED_MESH8` — and prints the top functions by cumulative
 and internal time, so changes to the event chain (Fabric._arrive /
 Router.forward) can be checked for regressions.  It also prints the
 run's events/sec so a profile and a throughput number always come from

@@ -7,14 +7,18 @@ interconnection-network simulator, the DRB / PR-DRB / FR-DRB routing
 family, synthetic and application-trace workloads, and the evaluation
 harness regenerating the paper's tables and figures.
 
-Quickstart::
+Every run is one :class:`repro.scenario.Scenario` built by
+:func:`repro.scenario.build`.  Quickstart::
 
-    from repro import build_network, run_synthetic
+    from repro import BurstSchedule
+    from repro.scenario import Scenario, build
 
-    net = build_network(topology="fattree", k=4, n=3, policy="pr-drb")
-    result = run_synthetic(net, pattern="perfect-shuffle",
-                           rate_mbps=400, duration_s=0.002)
-    print(result.summary())
+    context = build(Scenario(
+        "fattree:4,3", "pr-drb", pattern="perfect-shuffle", rate_bps=400e6,
+        schedule=BurstSchedule(on_s=2e-3, off_s=0.0), stop_s=2e-3,
+    ))
+    context.run()
+    print(context.recorder.summary())
 """
 
 from repro.sim import Simulator, RandomStreams
@@ -32,7 +36,6 @@ from repro.routing import (
 )
 from repro.metrics import StatsRecorder
 from repro.traffic import BurstSchedule, make_pattern
-from repro.api import NetworkHandle, RunResult, build_network, build_topology, run_synthetic
 
 __version__ = "1.0.0"
 
@@ -56,10 +59,5 @@ __all__ = [
     "StatsRecorder",
     "BurstSchedule",
     "make_pattern",
-    "NetworkHandle",
-    "RunResult",
-    "build_network",
-    "build_topology",
-    "run_synthetic",
     "__version__",
 ]

@@ -20,46 +20,48 @@ from repro import __version__
 def _cmd_list(args) -> int:
     from repro.apps import APP_TRACES
     from repro.experiments.scenarios import ALL_SCENARIOS
+    from repro.routing.registry import registered_policies
     from repro.traffic.patterns import PATTERNS
 
     print("experiments:")
     for name, fn in ALL_SCENARIOS.items():
         doc = (fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else ""
         print(f"  {name:24s} {doc}")
-    print("\npolicies: deterministic cyclic random adaptive drb pr-drb fr-drb pr-fr-drb")
+    print(f"\npolicies: {' '.join(registered_policies())}")
     print(f"patterns: {' '.join(sorted(PATTERNS))} uniform")
     print(f"app traces: {' '.join(sorted(APP_TRACES))}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    from repro.api import build_network, run_synthetic
+    from repro.scenario import Scenario, build
     from repro.traffic.bursty import BurstSchedule
 
-    net = build_network(
-        topology=args.topology,
-        policy=args.policy,
-        notification=args.notification,
-        width=args.width,
-        k=args.k,
-        n=args.n,
-    )
-    schedule = None
     if args.bursts:
         schedule = BurstSchedule(
             on_s=args.burst_on_us * 1e-6,
             off_s=args.burst_off_us * 1e-6,
             repetitions=args.bursts,
         )
-    result = run_synthetic(
-        net,
-        pattern=args.pattern,
-        rate_mbps=args.rate_mbps,
-        duration_s=(schedule.end_time() if schedule else args.duration_us * 1e-6),
-        schedule=schedule,
-        seed=args.seed,
+        duration_s = schedule.end_time()
+    else:
+        duration_s = args.duration_us * 1e-6
+        schedule = BurstSchedule(on_s=duration_s, off_s=0.0)
+    context = build(
+        Scenario(
+            args.topology, args.policy, args.seed, routing_rng="default",
+            notification=args.notification, window_s=50e-6, schedule=schedule,
+            stop_s=duration_s, pattern=args.pattern, rate_bps=args.rate_mbps * 1e6,
+            noise_rate_bps=0.0, idle_rate_bps=0.0, drain_s=5e-4,
+        ),
+        digest=False,
     )
-    for key, value in result.summary().items():
+    context.run()
+    summary = context.recorder.summary()
+    summary.update(context.policy.stats())
+    summary["accepted_ratio"] = context.fabric.accepted_ratio()
+    summary["duration_s"] = duration_s
+    for key, value in summary.items():
         print(f"{key}: {value}")
     return 0
 
@@ -108,7 +110,6 @@ def _cmd_replay(args) -> int:
     from repro.apps import APP_TRACES
     from repro.experiments.runner import run_app_workload
     from repro.mpi.traceio import load_trace
-    from repro.topology.fattree import KaryNTree
 
     if args.trace in APP_TRACES:
         factory = APP_TRACES[args.trace]
@@ -118,7 +119,7 @@ def _cmd_replay(args) -> int:
         factory = lambda **_: trace  # noqa: E731
         kwargs = {}
     runs = run_app_workload(
-        lambda: KaryNTree(4, 3),
+        "fattree:4,3",
         [args.policy],
         factory,
         trace_kwargs=kwargs,
@@ -145,11 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiments / policies / patterns")
 
     sim = sub.add_parser("simulate", help="run a synthetic workload")
-    sim.add_argument("--topology", default="fattree",
-                     choices=["mesh", "torus", "fattree", "hypercube"])
-    sim.add_argument("--width", type=int, default=8, help="mesh/torus width")
-    sim.add_argument("--k", type=int, default=4, help="fat-tree arity")
-    sim.add_argument("--n", type=int, default=3, help="fat-tree levels")
+    sim.add_argument("--topology", default="fattree:4,3",
+                     help="topology spec, e.g. mesh:8 or fattree:4,3")
     sim.add_argument("--policy", default="pr-drb")
     sim.add_argument("--pattern", default="perfect-shuffle")
     sim.add_argument("--rate-mbps", type=float, default=1000.0)

@@ -10,7 +10,7 @@ policies' pattern statistics.  Multiple seeds are averaged as in §4.3.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from repro.network.config import NetworkConfig
 from repro.network.fabric import DESTINATION_BASED
 from repro.mpi.runtime import TraceRuntime
 from repro.scenario import Scenario, build, task_scenario
-from repro.topology.base import Topology
 from repro.traffic.bursty import BurstSchedule
 
 
@@ -185,21 +184,8 @@ def _average_runs(runs: list[PolicyRun]) -> PolicyRun:
     )
 
 
-#: A topology is given either as a zero-arg factory (serial execution
-#: only) or as a declarative spec string like ``"mesh:8"`` /
-#: ``"fattree:4,3"`` (required for parallel execution — spec strings are
-#: picklable and cache-keyable, factories are not).
-TopologySpec = Union[str, Callable[[], Topology]]
-
-
-def _instance(topology: TopologySpec) -> Optional[Topology]:
-    """A factory's fresh topology; None for a spec string (built from
-    the scenario)."""
-    return None if isinstance(topology, str) else topology()
-
-
 def _policy_sweep(
-    kind: str, topology: TopologySpec, policies: Sequence[str], seeds: Sequence[int],
+    kind: str, topology: str, policies: Sequence[str], seeds: Sequence[int],
     executor, tracer, metrics, metrics_cadence_s, config, **params,
 ) -> dict[str, PolicyRun]:
     """Run the policy x seed grid, one ``kind`` task cell per (policy, seed).
@@ -214,22 +200,15 @@ def _policy_sweep(
             "metrics registries cannot cross the process boundary; "
             "drop executor= or attach metrics via the sweep's metrics_hook"
         )
-    spec_text = topology if isinstance(topology, str) else ""
     params["config"] = None if config is None else asdict(config)
     cells = [
-        {**params, "topology": spec_text, "policy": name, "seed": seed}
+        {**params, "topology": topology, "policy": name, "seed": seed}
         for name in policies
         for seed in seeds
     ]
     if executor is not None and len(cells) > 1:
         from repro.parallel.tasks import SimTask
 
-        if not spec_text:
-            raise ValueError(
-                "parallel execution needs a declarative topology spec string "
-                "(e.g. 'mesh:8'); zero-arg factories cannot be shipped to "
-                "worker processes"
-            )
         payloads = executor.run_strict(
             [SimTask(kind, cell, f"{kind}:{cell['policy']}/seed{cell['seed']}") for cell in cells]
         )
@@ -238,7 +217,7 @@ def _policy_sweep(
         runs = []
         for cell in cells:
             context = build(
-                task_scenario(kind, cell), topology=_instance(topology), digest=False,
+                task_scenario(kind, cell), digest=False,
                 tracer=tracer, metrics=metrics, metrics_cadence_s=metrics_cadence_s,
             )
             context.run()
@@ -251,7 +230,7 @@ def _policy_sweep(
 
 
 def run_pattern_workload(
-    topology_factory: TopologySpec,
+    topology: str,
     policies: Sequence[str],
     pattern: str,
     rate_mbps: float,
@@ -275,8 +254,8 @@ def run_pattern_workload(
     ``policies`` are policy spec strings (``"pr-drb:max_paths=4"``).
     ``executor`` (a :class:`repro.parallel.SweepExecutor`) fans the
     policy x seed grid out to worker processes; results are bit-identical
-    to the serial loop.  Requires ``topology_factory`` to be a spec
-    string like ``"fattree:4,3"``.
+    to the serial loop.  ``topology`` is a spec string like
+    ``"fattree:4,3"`` (:func:`repro.parallel.tasks.make_topology`).
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) is wired
     into every serial cell via :func:`repro.obs.instrument`; with
@@ -285,7 +264,7 @@ def run_pattern_workload(
     ``metrics`` with ``executor`` raises.
     """
     return _policy_sweep(
-        "pattern", topology_factory, policies, seeds,
+        "pattern", topology, policies, seeds,
         executor, tracer, metrics, metrics_cadence_s, config,
         pattern=pattern, rate_mbps=rate_mbps,
         hosts=None if hosts is None else [int(h) for h in hosts],
@@ -296,7 +275,7 @@ def run_pattern_workload(
 
 
 def run_hotspot_workload(
-    topology_factory: TopologySpec,
+    topology: str,
     policies: Sequence[str],
     flows: Sequence[tuple[int, int]],
     rate_mbps: float,
@@ -322,7 +301,7 @@ def run_hotspot_workload(
     if schedule.end_time() is None:
         raise ValueError("hot-spot schedule must be bounded (set repetitions)")
     return _policy_sweep(
-        "hotspot", topology_factory, policies, seeds,
+        "hotspot", topology, policies, seeds,
         executor, tracer, metrics, metrics_cadence_s, config,
         flows=[[int(s), int(d)] for s, d in flows], rate_mbps=rate_mbps,
         schedule=asdict(schedule), noise_rate_mbps=noise_rate_mbps,
@@ -332,7 +311,7 @@ def run_hotspot_workload(
 
 
 def run_app_workload(
-    topology_factory: TopologySpec,
+    topology: str,
     policies: Sequence[str],
     trace_factory: Callable[..., "object"],
     trace_kwargs: Optional[dict] = None,
@@ -350,12 +329,11 @@ def run_app_workload(
         runs = []
         for seed in seeds:
             spec = Scenario(
-                topology_factory if isinstance(topology_factory, str) else "",
-                name, seed, routing_rng="default", notification=notification,
+                topology, name, seed, routing_rng="default", notification=notification,
                 config=None if config is None else asdict(config), window_s=window_s,
                 track_routers=track_routers, schedule=None, drain_s=None,
             )
-            context = build(spec, topology=_instance(topology_factory), digest=False)
+            context = build(spec, digest=False)
             kwargs = dict(trace_kwargs)
             if "seed" in trace_factory.__code__.co_varnames:
                 kwargs.setdefault("seed", seed)

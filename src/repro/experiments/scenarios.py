@@ -40,7 +40,6 @@ from repro.experiments.runner import (
 )
 from repro.mpi.trace import call_breakdown
 from repro.parallel import default_executor
-from repro.topology.fattree import KaryNTree
 from repro.topology.mesh import Mesh2D
 from repro.traffic.bursty import BurstSchedule
 from repro.traffic.patterns import PATTERNS
@@ -466,6 +465,12 @@ def table_4_1_patterns(scale: Scale = QUICK) -> ExperimentResult:
 # Application traces on the fat-tree (§4.8)
 # ======================================================================
 
+def _app_fattree(ranks: int) -> str:
+    """The fat-tree an application trace replays on: 64 hosts for more
+    than 16 ranks, else 16."""
+    return "fattree:4,3" if ranks > 16 else "fattree:4,2"
+
+
 def _app_runs(
     scale: Scale,
     trace_factory,
@@ -474,7 +479,7 @@ def _app_runs(
     track_routers=False,
 ) -> dict[str, PolicyRun]:
     return run_app_workload(
-        lambda: KaryNTree(4, 3) if scale.app_ranks > 16 else KaryNTree(4, 2),
+        _app_fattree(scale.app_ranks),
         policies,
         trace_factory,
         trace_kwargs=trace_kwargs,
@@ -1100,13 +1105,13 @@ def ext_mapping(scale: Scale = QUICK) -> ExperimentResult:
     """
     import numpy as np  # noqa: F811
 
+    from dataclasses import asdict
+
     from repro.mapping import affinity_mapping, linear_mapping, mapping_cost, random_mapping
-    from repro.metrics.recorder import StatsRecorder
     from repro.mpi.runtime import TraceRuntime
     from repro.mpi.trace import communication_matrix
-    from repro.network.fabric import Fabric
-    from repro.routing import make_policy
-    from repro.sim.engine import Simulator
+    from repro.parallel.tasks import make_topology
+    from repro.scenario import Scenario, build
 
     result = ExperimentResult(
         "EXT-mapping",
@@ -1116,7 +1121,12 @@ def ext_mapping(scale: Scale = QUICK) -> ExperimentResult:
         "processors.",
     )
     ranks = scale.app_ranks
-    tree = KaryNTree(4, 3) if ranks > 16 else KaryNTree(4, 2)
+    spec = Scenario(
+        _app_fattree(ranks), "deterministic", routing_rng="default",
+        notification="destination", config=asdict(fattree_config()),
+        window_s=scale.window_s, schedule=None, drain_s=None,
+    )
+    tree = make_topology(spec.topology)
     trace = lammps_chain_trace(num_ranks=ranks, iterations=max(2, scale.app_iterations))
     matrix = communication_matrix(trace, include_collectives=False)
     mappings = {
@@ -1126,20 +1136,15 @@ def ext_mapping(scale: Scale = QUICK) -> ExperimentResult:
     }
     latencies = {}
     for label, mapping in mappings.items():
-        sim = Simulator()
-        rec = StatsRecorder(window_s=scale.window_s)
-        fabric = Fabric(
-            KaryNTree(tree.k, tree.n), fattree_config(),
-            make_policy("deterministic"), sim, recorder=rec,
-        )
-        runtime = TraceRuntime(fabric, trace, rank_to_host=mapping)
+        context = build(spec, digest=False)
+        runtime = TraceRuntime(context.fabric, trace, rank_to_host=mapping)
         exec_time = runtime.run(timeout_s=60.0)
-        latencies[label] = rec.mean_latency_s
+        latencies[label] = context.recorder.mean_latency_s
         result.rows.append(
             {
                 "mapping": label,
                 "hop_cost": round(mapping_cost(matrix, mapping, tree), 3),
-                "mean_latency_us": round(rec.mean_latency_s * 1e6, 2),
+                "mean_latency_us": round(latencies[label] * 1e6, 2),
                 "exec_time_ms": round(exec_time * 1e3, 3),
             }
         )

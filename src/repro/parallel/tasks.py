@@ -162,6 +162,12 @@ def _fattree(args: list):
     return KaryNTree(int(args[0]), int(args[1]))
 
 
+def _karyncube(args: list):
+    from repro.topology.karycube import KaryNCube
+
+    return KaryNCube(int(args[0]), int(args[1]))
+
+
 def _slimtree(args: list):
     from repro.topology.slimtree import SlimmedKaryNTree
 
@@ -191,6 +197,7 @@ _TOPOLOGY_BUILDERS: dict[str, Callable[[list], Any]] = {
     "mesh": _mesh,
     "torus": _torus,
     "fattree": _fattree,
+    "karyncube": _karyncube,
     "slimtree": _slimtree,
     "hypercube": _hypercube,
     "dragonfly": _dragonfly,
@@ -213,11 +220,9 @@ def _coerce_arg(text: str):
 def make_topology(spec: str):
     """Build a topology from a declarative spec string.
 
-    Specs: ``mesh:8``, ``torus:8``, ``fattree:4,3``, ``slimtree:4,3,0.5``,
-    ``hypercube:6``, ``dragonfly:4,2,2``.  Each call returns a fresh
-    instance (factory semantics), so a spec can replace the
-    ``topology_factory`` callables used throughout
-    :mod:`repro.experiments`.  The instance comes with its route cache
+    Specs: ``mesh:8``, ``torus:8``, ``fattree:4,3``, ``karyncube:4,3``,
+    ``slimtree:4,3,0.5``, ``hypercube:6``, ``dragonfly:4,2,2``.  Each call
+    returns a fresh instance.  The instance comes with its route cache
     pre-enabled (see ``Topology.enable_route_cache``): workers answer the
     same minimal-route queries for every packet of a cell.
     """

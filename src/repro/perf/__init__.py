@@ -1,32 +1,25 @@
-"""Digest-gated performance-regression harness (``python -m repro.perf``).
+"""Replay digest gate (``python -m repro.perf``).
 
 The hot-path optimizations in :mod:`repro.sim.engine`,
 :mod:`repro.network` and :mod:`repro.core` are only admissible if they
 change *nothing* observable: the rule (docs/performance.md) is **no
-optimization without a digest match**.  This harness enforces it:
+optimization without a digest match**.  This harness enforces it: replay
+the seeded :func:`repro.analysis.replay` scenario for every routing
+policy and compare the event-trace and metrics digests against the
+committed ``baseline.json``.  Any drift is a hard failure (exit code 1):
+the "optimization" changed simulation behavior and must be fixed or the
+baseline consciously re-recorded with ``--update-baseline``.
 
-1. **Digest gate** — replay the seeded :func:`repro.analysis.replay`
-   scenario for every routing policy and compare the event-trace and
-   metrics digests against the committed ``baseline.json``.  Any drift is
-   a hard failure (exit code 1): the "optimization" changed simulation
-   behavior and must be fixed or the baseline consciously re-recorded
-   with ``--update-baseline``.
-2. **Throughput watch** — run the pinned hot-spot workload (the same one
-   ``scripts/profile_sim.py`` profiles) per policy and compare events/sec
-   against the recorded pre-optimization baseline.  Rates are machine-
-   and load-dependent, so a slowdown beyond the tolerance only *warns*;
-   it never fails CI.
-
-The report is written to ``BENCH_engine.json`` (override with ``--out``)
-with a per-policy breakdown: digests, events/sec, and speedup over the
-recorded baseline.
+Host speed is not measured here; the ``perfbench/`` benchmark
+(``BENCHMARK.json``) does that, A/B against the parent commit on one box.
+The pinned hot-spot workloads below are shared with
+``scripts/profile_sim.py``, ``python -m repro.obs`` and the tests.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,26 +30,20 @@ from repro.traffic.bursty import BurstSchedule
 __all__ = [
     "DEFAULT_POLICIES",
     "BASELINE_PATH",
-    "RATE_REGRESSION_TOLERANCE",
     "PINNED_DRAGONFLY",
     "PINNED_MESH8",
     "load_baseline",
     "check_digests",
     "run_pinned_workload",
     "run_pinned_dragonfly_workload",
-    "measure_events_per_s",
-    "run_suite",
     "main",
 ]
 
 #: Policies covered by the gate, in report order.
 DEFAULT_POLICIES = ("deterministic", "drb", "pr-drb", "fr-drb")
 
-#: Committed baseline: replay digests + pre-optimization event rates.
+#: Committed baseline: the replay scenario and its per-policy digests.
 BASELINE_PATH = Path(__file__).with_name("baseline.json")
-
-#: Events/sec may regress by up to this fraction before the harness warns.
-RATE_REGRESSION_TOLERANCE = 0.20
 
 
 def load_baseline(path: Optional[Path] = None) -> dict:
@@ -107,9 +94,7 @@ def check_digests(
 # ----------------------------------------------------------------------
 #: An 8x8 mesh with four colliding hot-spot flows under a repeated on/off
 #: burst schedule — the congested steady state whose profile drove the
-#: engine/network optimizations (docs/performance.md).  Mirrored in
-#: ``baseline.json``'s ``workload`` block: drift makes recorded rates
-#: incomparable.
+#: engine/network optimizations (docs/performance.md).
 PINNED_MESH8 = Scenario(
     "mesh:8", routing_rng="default", notification="destination", window_s=None,
     schedule=BurstSchedule(on_s=3e-4, off_s=3e-4, repetitions=50),
@@ -117,11 +102,11 @@ PINNED_MESH8 = Scenario(
     rate_bps=1.3e9, noise_rate_bps=0.0, idle_rate_bps=250e6, drain_s=None,
 )
 
-#: The adversarial permutation behind ``benchmarks/bench_dragonfly.py``
-#: and the CI dragonfly-smoke digest gate: every host of group 0 sends to
-#: its mirror in group 1 on ``dragonfly:4,2,2``, so all eight flows
-#: contend for the pair's single global link, plus uniform noise.  Any
-#: drift is a determinism bug, not a tunable.
+#: The adversarial dragonfly permutation behind the notified-routing
+#: tests (``tests/test_routing_notified.py``): every host of group 0
+#: sends to its mirror in group 1 on ``dragonfly:4,2,2``, so all eight
+#: flows contend for the pair's single global link, plus uniform noise.
+#: Any drift is a determinism bug, not a tunable.
 PINNED_DRAGONFLY = Scenario(
     "dragonfly:4,2,2", window_s=None,
     schedule=BurstSchedule(on_s=3e-4, off_s=1e-4, repetitions=3),
@@ -163,119 +148,15 @@ def run_pinned_dragonfly_workload(
     }
 
 
-def measure_events_per_s(
-    policy: str, max_events: int = 200_000, repeats: int = 3
-) -> float:
-    """Best-of-``repeats`` event rate for ``policy`` on the pinned workload.
-
-    Uses CPU time, not wall time: on a loaded box the best-of CPU-time
-    rate is the least noisy throughput estimate (interference only ever
-    slows a run down).  This measures the harness itself, not simulated
-    behavior, so the wall-clock lint is deliberately suppressed.
-    """
-    best = 0.0
-    for _ in range(repeats):
-        start = time.process_time()  # repro: allow(no-wall-clock)
-        executed = run_pinned_workload(policy, max_events)
-        elapsed = time.process_time() - start  # repro: allow(no-wall-clock)
-        if elapsed > 0:
-            rate = executed / elapsed
-            if rate > best:
-                best = rate
-    return best
-
-
 # ----------------------------------------------------------------------
-# Suite driver
+# CLI
 # ----------------------------------------------------------------------
-def run_suite(
-    policies: Sequence[str] = DEFAULT_POLICIES,
-    baseline: Optional[dict] = None,
-    quick: bool = False,
-) -> dict:
-    """Digest gate + throughput watch; returns the full report dict.
-
-    ``quick`` shrinks the throughput measurement (fewer events, one
-    repeat) for CI smoke runs; the digest gate is identical in both
-    modes.  The report's ``digest_ok`` key is the pass/fail verdict.
-    """
-    if baseline is None:
-        baseline = load_baseline()
-    digest_results = check_digests(policies, baseline)
-    digest_ok = all(r["ok"] for r in digest_results.values())
-
-    max_events = 60_000 if quick else int(
-        baseline.get("workload", {}).get("max_events", 200_000)
-    )
-    repeats = 1 if quick else 3
-    baseline_rates = baseline.get("baseline_events_per_s", {})
-
-    per_policy: dict[str, dict] = {}
-    warnings: list[str] = []
-    for policy in policies:
-        rate = measure_events_per_s(policy, max_events, repeats)
-        entry: dict = {
-            "events_per_s": round(rate, 1),
-            "digest_ok": digest_results[policy]["ok"],
-        }
-        base_rate = baseline_rates.get(policy)
-        if base_rate:
-            entry["baseline_events_per_s"] = base_rate
-            entry["speedup"] = round(rate / base_rate, 3)
-            if rate < base_rate * (1.0 - RATE_REGRESSION_TOLERANCE):
-                warnings.append(
-                    f"{policy}: {rate:.0f} ev/s is >"
-                    f"{RATE_REGRESSION_TOLERANCE:.0%} below the recorded "
-                    f"baseline {base_rate:.0f} ev/s (machine-dependent; "
-                    "not a failure)"
-                )
-        per_policy[policy] = entry
-
-    measured = [
-        p["speedup"] for p in per_policy.values() if "speedup" in p
-    ]
-    report = {
-        "digest_ok": digest_ok,
-        "quick": quick,
-        "max_events": max_events,
-        "policies": per_policy,
-        "digests": {
-            p: r["got"] for p, r in digest_results.items()
-        },
-        "aggregate_speedup": (
-            round(sum(measured) / len(measured), 3) if measured else None
-        ),
-        "warnings": warnings,
-        "workload": baseline.get("workload"),
-        "scenario": baseline.get("scenario"),
-    }
-    return report
-
-
-def _updated_baseline(report: dict, baseline: dict) -> dict:
-    """Fold a report's digests and rates into a new baseline dict."""
-    return {
-        "baseline_events_per_s": {
-            p: entry["events_per_s"]
-            for p, entry in report["policies"].items()
-        },
-        "digests": report["digests"],
-        "scenario": baseline["scenario"],
-        "workload": baseline["workload"],
-    }
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
-        description="digest-gated perf-regression harness",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: same digest gate, shorter throughput run",
+        description="replay digest gate",
     )
     parser.add_argument(
         "--policies",
@@ -289,56 +170,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help=f"baseline JSON (default: {BASELINE_PATH})",
     )
     parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path("BENCH_engine.json"),
-        help="report output path (default: BENCH_engine.json)",
-    )
-    parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="re-record digests and rates into the baseline file "
+        help="re-record the policies' digests into the baseline file "
         "(a conscious act: review the behavior change first)",
     )
     args = parser.parse_args(argv)
 
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     baseline = load_baseline(args.baseline)
-    report = run_suite(policies, baseline=baseline, quick=args.quick)
-
-    args.out.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    for policy, entry in report["policies"].items():
-        mark = "ok " if entry["digest_ok"] else "FAIL"
-        speed = (
-            f"{entry['speedup']:.2f}x vs baseline"
-            if "speedup" in entry
-            else "no baseline rate"
-        )
-        print(
-            f"[{mark}] {policy:<14} {entry['events_per_s']:>10.0f} ev/s "
-            f"({speed})"
-        )
-    for warning in report["warnings"]:
-        print(f"warning: {warning}", file=sys.stderr)
+    results = check_digests(policies, baseline)
+    for policy, result in results.items():
+        print(f"[{'ok ' if result['ok'] else 'FAIL'}] {policy}")
 
     if args.update_baseline:
         target = args.baseline or BASELINE_PATH
+        digests = {p: r["got"] for p, r in results.items()}
         target.write_text(
-            json.dumps(_updated_baseline(report, baseline), indent=2,
-                       sort_keys=True) + "\n",
+            json.dumps({"digests": digests, "scenario": baseline["scenario"]},
+                       indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
         print(f"baseline updated: {target}")
         return 0
 
-    if not report["digest_ok"]:
+    if not all(result["ok"] for result in results.values()):
         print(
             "digest mismatch: simulation behavior drifted from the "
             "committed baseline (see docs/performance.md)",
             file=sys.stderr,
         )
         return 1
-    print(f"report: {args.out}")
     return 0

@@ -253,15 +253,13 @@ def scenario_workload(spec: Scenario, fabric, streams):
 
 
 def build(
-    spec: Scenario, *, topology=None, digest: bool = True, tracer=None, metrics=None,
+    spec: Scenario, *, digest: bool = True, tracer=None, metrics=None,
     metrics_cadence_s: Optional[float] = None, with_invariants: bool = False,
 ) -> Context:
     """Construct (but do not run) ``spec``.
 
-    ``topology`` supplies a prebuilt topology in place of
-    ``spec.topology`` for callers holding a zero-arg factory (such a
-    context cannot be rebuilt from its spec).  ``digest=False`` skips the
-    event-trace observer for runs that never read it.
+    ``digest=False`` skips the event-trace observer for runs that never
+    read it.
     """
     from repro.analysis.replay import EventTraceDigest
     from repro.metrics.recorder import StatsRecorder
@@ -278,8 +276,7 @@ def build(
         recorder = StatsRecorder(window_s=spec.window_s, track_router_series=spec.track_routers)
     policy = scenario_policy(spec, streams)
     fabric = Fabric(
-        topology if topology is not None else make_topology(spec.topology),
-        NetworkConfig(**(spec.config or {})), policy, sim,
+        make_topology(spec.topology), NetworkConfig(**(spec.config or {})), policy, sim,
         recorder=recorder, notification=spec.notification,
     )
     transport = injector = None

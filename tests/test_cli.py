@@ -6,11 +6,15 @@ from repro.cli import build_parser, main
 
 
 def test_list_command(capsys):
+    from repro.routing.registry import registered_policies
+
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "fig_4_13_14" in out
-    assert "pr-drb" in out
     assert "perfect-shuffle" in out
+    policies = next(line for line in out.splitlines() if line.startswith("policies:"))
+    assert set(registered_policies()) <= set(policies.split()[1:])
+    assert {"adaptive-hop", "notified-adaptive", "ugal"} <= set(policies.split())
 
 
 #: Exact ``simulate`` stdout of two pinned runs: counters, latencies and
@@ -59,7 +63,7 @@ duration_s: 0.0003
 
 def test_simulate_command(capsys):
     code = main([
-        "simulate", "--topology", "mesh", "--width", "4",
+        "simulate", "--topology", "mesh:4",
         "--policy", "drb", "--pattern", "bit-reversal",
         "--rate-mbps", "300", "--duration-us", "200",
     ])
@@ -69,7 +73,7 @@ def test_simulate_command(capsys):
 
 def test_simulate_bursty(capsys):
     code = main([
-        "simulate", "--topology", "mesh", "--width", "4",
+        "simulate", "--topology", "mesh:4",
         "--policy", "pr-drb", "--bursts", "2",
         "--burst-on-us", "100", "--burst-off-us", "100",
         "--rate-mbps", "400",

@@ -80,11 +80,10 @@ def test_missing_baseline_raises():
 
 def test_end_to_end_with_runner():
     from repro.experiments.runner import run_hotspot_workload
-    from repro.topology.mesh import Mesh2D
     from repro.traffic.bursty import BurstSchedule
 
     runs = run_hotspot_workload(
-        lambda: Mesh2D(4),
+        "mesh:4",
         ["deterministic", "drb"],
         [(0, 15), (3, 11)],
         rate_mbps=1500,

@@ -12,7 +12,6 @@ from repro.experiments.runner import (
     run_hotspot_workload,
     run_pattern_workload,
 )
-from repro.topology.mesh import Mesh2D
 from repro.traffic.bursty import BurstSchedule
 
 
@@ -64,7 +63,7 @@ def test_policy_run_row_and_peaks():
 def test_run_pattern_workload_compares_policies():
     sched = BurstSchedule(on_s=1e-4, off_s=1e-4, repetitions=2)
     runs = run_pattern_workload(
-        lambda: Mesh2D(4),
+        "mesh:4",
         ["deterministic", "drb"],
         "bit-reversal",
         rate_mbps=400,
@@ -80,7 +79,7 @@ def test_run_pattern_workload_compares_policies():
 def test_run_pattern_workload_multi_seed_averages():
     sched = BurstSchedule(on_s=1e-4, off_s=0.0, repetitions=1)
     runs = run_pattern_workload(
-        lambda: Mesh2D(4),
+        "mesh:4",
         ["deterministic"],
         "uniform",
         rate_mbps=200,
@@ -94,7 +93,7 @@ def test_run_pattern_workload_multi_seed_averages():
 def test_run_hotspot_workload_requires_bounded_schedule():
     with pytest.raises(ValueError):
         run_hotspot_workload(
-            lambda: Mesh2D(4),
+            "mesh:4",
             ["deterministic"],
             [(0, 15)],
             rate_mbps=400,
@@ -105,7 +104,7 @@ def test_run_hotspot_workload_requires_bounded_schedule():
 def test_run_hotspot_workload_produces_contention():
     sched = BurstSchedule(on_s=2e-4, off_s=1e-4, repetitions=2)
     runs = run_hotspot_workload(
-        lambda: Mesh2D(4),
+        "mesh:4",
         ["deterministic"],
         [(0, 15), (3, 11)],
         rate_mbps=1500,
@@ -117,7 +116,7 @@ def test_run_hotspot_workload_produces_contention():
 
 def test_run_app_workload_reports_execution_time():
     runs = run_app_workload(
-        lambda: Mesh2D(4),
+        "mesh:4",
         ["deterministic", "drb"],
         sweep3d_trace,
         trace_kwargs={"num_ranks": 16, "iterations": 1},

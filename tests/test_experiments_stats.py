@@ -81,11 +81,10 @@ def test_required_repetitions_degenerate_cases():
 
 def test_runner_attaches_ci_for_multi_seed():
     from repro.experiments.runner import run_pattern_workload
-    from repro.topology.mesh import Mesh2D
     from repro.traffic.bursty import BurstSchedule
 
     runs = run_pattern_workload(
-        lambda: Mesh2D(4), ["deterministic"], "uniform", 200,
+        "mesh:4", ["deterministic"], "uniform", 200,
         schedule=BurstSchedule(on_s=1e-4, off_s=0, repetitions=1),
         seeds=(0, 1, 2),
     )

@@ -15,7 +15,6 @@ import signal
 import subprocess
 import sys
 import textwrap
-import time
 from pathlib import Path
 
 import pytest
@@ -52,13 +51,26 @@ def reference():
     return run_scenario(**PARAMS).to_dict()
 
 
-def _child_source(ckpt: str, kind: str) -> str:
+#: the line a reporting child writes to stdout after each checkpoint save.
+SAVED = "checkpoint saved"
+
+
+def _child_source(ckpt: str, kind: str, report: bool) -> str:
     return textwrap.dedent(
         f"""
         import json, sys
         sys.path.insert(0, {REPO_SRC!r})
+        import repro.checkpoint
         from repro.parallel.tasks import SimTask
         from repro.parallel.worker import execute_task
+        if {report!r}:
+            save = repro.checkpoint.save_scenario_checkpoint
+
+            def save_and_report(*args, **kwargs):
+                save(*args, **kwargs)
+                print({SAVED!r}, flush=True)
+
+            repro.checkpoint.save_scenario_checkpoint = save_and_report
         task = SimTask(kind={kind!r}, params={CELLS[kind]!r}, label="resume-test")
         result = execute_task(task, checkpoint_path={ckpt!r})
         print(json.dumps(result))
@@ -67,22 +79,21 @@ def _child_source(ckpt: str, kind: str) -> str:
 
 
 def _run_child(ckpt: str, *, interrupt: bool, kind: str = "replay") -> subprocess.Popen:
+    """Start a worker child; with ``interrupt``, SIGTERM it once it has
+    reported its first periodic checkpoint on stdout."""
     env = dict(os.environ, REPRO_CHECKPOINT_EVERY="500", PYTHONPATH=REPO_SRC)
     proc = subprocess.Popen(
-        [sys.executable, "-c", _child_source(ckpt, kind)],
+        [sys.executable, "-c", _child_source(ckpt, kind, report=interrupt)],
         env=env,
         stdout=subprocess.PIPE,
         text=True,
     )
     if interrupt:
-        deadline = time.monotonic() + 120  # repro: allow(no-wall-clock)
-        while not os.path.exists(ckpt):  # repro: allow(no-wall-clock)
-            if time.monotonic() > deadline:  # repro: allow(no-wall-clock)
-                proc.kill()
-                pytest.fail("no periodic checkpoint appeared within 120s")
-            if proc.poll() is not None:
-                pytest.fail("the cell ran to completion without a periodic checkpoint")
-            time.sleep(0.02)
+        # Blocks until the first save is on disk; EOF means the child
+        # exited first.
+        if proc.stdout.readline().strip() != SAVED:
+            proc.wait(timeout=60)
+            pytest.fail("the cell ran to completion without a periodic checkpoint")
         proc.send_signal(signal.SIGTERM)
     return proc
 

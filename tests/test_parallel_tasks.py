@@ -102,6 +102,7 @@ class TestMakeTopology:
             ("mesh:4", "Mesh2D", 16),
             ("torus:4", "Torus2D", 16),
             ("fattree:4,2", "KaryNTree", 16),
+            ("karyncube:2,4", "KaryNCube", 16),
             ("slimtree:4,2,0.5", "SlimmedKaryNTree", 16),
             ("hypercube:4", "Hypercube", 16),
             ("dragonfly:4,2,2", "Dragonfly", 72),

@@ -1,9 +1,8 @@
-"""Tests for the digest-gated perf harness (``repro.perf``).
+"""Tests for the replay digest gate (``repro.perf``).
 
 The acceptance rule for every hot-path optimization in this repo is
 bit-identical replay: these tests pin the committed baseline digests to
-the current simulation behavior, so any drift fails tier-1 before it can
-hide behind a throughput number.
+the current simulation behavior, so any drift fails tier-1.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ def test_committed_baseline_shape(baseline):
     for policy, entry in baseline["digests"].items():
         assert len(entry["events"]) == 64, policy
         assert len(entry["metrics"]) == 64, policy
-    assert set(baseline["baseline_events_per_s"]) == set(DEFAULT_POLICIES)
+    assert set(baseline) == {"digests", "scenario"}
     assert baseline["scenario"] == {"seed": 0, "mesh_side": 4, "repetitions": 3}
 
 
@@ -80,38 +79,19 @@ def test_pinned_workload_is_deterministic():
     )
 
 
-def test_cli_quick_pass_writes_report(tmp_path):
-    out = tmp_path / "BENCH_engine.json"
-    code = main(["--quick", "--policies", "deterministic", "--out", str(out)])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert report["digest_ok"] is True
-    assert report["quick"] is True
-    entry = report["policies"]["deterministic"]
-    assert entry["events_per_s"] > 0
-    assert entry["speedup"] > 0
+def test_cli_pass_exits_zero(capsys):
+    assert main(["--policies", "deterministic"]) == 0
+    assert "[ok ] deterministic" in capsys.readouterr().out
 
 
-def test_cli_digest_mismatch_exits_nonzero(tmp_path, baseline):
+def test_cli_digest_mismatch_exits_nonzero(tmp_path, baseline, capsys):
     bad = copy.deepcopy(baseline)
     bad["digests"]["deterministic"]["metrics"] = "f" * 64
     bad_path = tmp_path / "baseline.json"
     bad_path.write_text(json.dumps(bad))
-    out = tmp_path / "BENCH_engine.json"
-    code = main(
-        [
-            "--quick",
-            "--policies",
-            "deterministic",
-            "--baseline",
-            str(bad_path),
-            "--out",
-            str(out),
-        ]
-    )
+    code = main(["--policies", "deterministic", "--baseline", str(bad_path)])
     assert code == 1
-    # The report is still written so the mismatch can be inspected.
-    assert json.loads(out.read_text())["digest_ok"] is False
+    assert "[FAIL] deterministic" in capsys.readouterr().out
 
 
 def test_cli_update_baseline_rewrites_file(tmp_path, baseline):
@@ -119,27 +99,12 @@ def test_cli_update_baseline_rewrites_file(tmp_path, baseline):
     stale["digests"]["deterministic"]["events"] = "a" * 64
     path = tmp_path / "baseline.json"
     path.write_text(json.dumps(stale))
-    out = tmp_path / "BENCH_engine.json"
     code = main(
-        [
-            "--quick",
-            "--policies",
-            "deterministic",
-            "--baseline",
-            str(path),
-            "--out",
-            str(out),
-            "--update-baseline",
-        ]
+        ["--policies", "deterministic", "--baseline", str(path), "--update-baseline"]
     )
     assert code == 0
     updated = json.loads(path.read_text())
     # Re-recorded digest matches live behavior (== the committed one).
-    assert (
-        updated["digests"]["deterministic"]["events"]
-        == baseline["digests"]["deterministic"]["events"]
-    )
-    assert updated["baseline_events_per_s"]["deterministic"] > 0
-    # The scenario/workload pins survive the rewrite unchanged.
+    assert updated["digests"]["deterministic"] == baseline["digests"]["deterministic"]
+    # The scenario pin survives the rewrite unchanged.
     assert updated["scenario"] == baseline["scenario"]
-    assert updated["workload"] == baseline["workload"]

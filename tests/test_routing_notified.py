@@ -199,7 +199,7 @@ def test_ugal_stats_shape():
 # End-to-end determinism on the dragonfly hot-spot
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("policy_name", ["notified-adaptive", "ugal"])
+@pytest.mark.parametrize("policy_name", ["deterministic", "notified-adaptive", "ugal"])
 def test_same_seed_replay_is_bit_identical(policy_name):
     from repro.perf import run_pinned_dragonfly_workload
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.routing import (
     DRBPolicy,
     DeterministicPolicy,
@@ -41,6 +42,15 @@ def test_make_policy_basic_names():
     assert isinstance(make_policy("ugal"), UGALPolicy)
     # Names are case-insensitive.
     assert isinstance(make_policy("DRB"), DRBPolicy)
+
+
+def test_make_policy_names():
+    names = ["deterministic", "random", "cyclic", "adaptive", "drb",
+             "pr-drb", "fr-drb", "pr-fr-drb"]
+    for n in names:
+        assert repro.make_policy(n) is not None
+    with pytest.raises(ValueError):
+        repro.make_policy("quantum")
 
 
 def test_make_policy_unknown_name_lists_registry():

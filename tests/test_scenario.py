@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.parallel.tasks import SimTask, make_topology
+from repro.parallel.tasks import SimTask
 from repro.scenario import (
     KINDS,
     Faults,
@@ -53,12 +53,16 @@ def test_unknown_kind_is_rejected():
     assert "selftest" not in KINDS
 
 
-def test_prebuilt_topology_replaces_the_spec_string():
-    topology = make_topology("mesh:3")
-    context = build(Scenario("", flows=((0, 8),), noise_rate_bps=0.0), topology=topology)
-    assert context.fabric.topology is topology
+def test_pattern_trims_to_power_of_two_hosts():
+    # 3x3 mesh: 9 hosts -> the pattern runs over 8, and host 8 stays silent.
+    spec = Scenario(
+        "mesh:3", "deterministic", schedule=BurstSchedule(on_s=2e-4, off_s=0.0), stop_s=2e-4,
+        pattern="bit-reversal", rate_bps=100e6, idle_rate_bps=0.0,
+    )
+    context = build(spec, digest=False)
     context.run()
-    assert context.fabric.data_packets_delivered > 0
+    assert context.workload.messages_sent > 0
+    assert context.fabric.nodes[8].packets_injected == 0
 
 
 def test_observers_do_not_change_the_digest():
