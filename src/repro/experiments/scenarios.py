@@ -1103,9 +1103,9 @@ def ext_mapping(scale: Scale = QUICK) -> ExperimentResult:
     on-leaf, random placement forces it through the fabric, and the DRB
     family then recovers part of the random-placement penalty.
     """
-    import numpy as np  # noqa: F811
-
     from dataclasses import asdict
+
+    import numpy as np  # noqa: F811
 
     from repro.mapping import affinity_mapping, linear_mapping, mapping_cost, random_mapping
     from repro.mpi.runtime import TraceRuntime

@@ -14,7 +14,6 @@ def test_list_command(capsys):
     assert "perfect-shuffle" in out
     policies = next(line for line in out.splitlines() if line.startswith("policies:"))
     assert set(registered_policies()) <= set(policies.split()[1:])
-    assert {"adaptive-hop", "notified-adaptive", "ugal"} <= set(policies.split())
 
 
 #: Exact ``simulate`` stdout of two pinned runs: counters, latencies and
