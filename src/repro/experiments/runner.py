@@ -9,6 +9,7 @@ policies' pattern statistics.  Multiple seeds are averaged as in §4.3.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -335,7 +336,7 @@ def run_app_workload(
             )
             context = build(spec, digest=False)
             kwargs = dict(trace_kwargs)
-            if "seed" in trace_factory.__code__.co_varnames:
+            if "seed" in inspect.signature(trace_factory).parameters:
                 kwargs.setdefault("seed", seed)
             trace = trace_factory(**kwargs)
             runtime = TraceRuntime(context.fabric, trace)

@@ -70,7 +70,7 @@ class Fabric(Snapshottable):
     #: is dropped on restore.
     _snapshot_fields_: ClassVar[tuple[str, ...]] = (
         "topology", "config", "policy", "sim", "recorder", "notification",
-        "_link_delay_s", "_packet_size", "_onoff", "_per_hop",
+        "_link_delay_s", "_packet_size", "_onoff", "_per_hop", "_plain",
         "_schedule_at", "routers", "_vc", "nodes",
         "data_packets_injected", "data_packets_delivered",
         "data_bytes_delivered", "acks_delivered", "predictive_acks_delivered",
@@ -119,6 +119,12 @@ class Fabric(Snapshottable):
             from repro.network.vc import VCDispatcher
 
             self._vc = VCDispatcher(self)
+        #: every hop takes the fused FIFO path in ``_arrive`` while no
+        #: link is failed or degraded (those toggle at run time).
+        self._plain = not (
+            self._per_hop or self._onoff or self._vc is not None
+            or config.cut_through
+        )
         self.nodes = [ProcessingNode(h, config) for h in range(topology.num_hosts)]
         # Aggregate accounting (offered vs accepted load, §4.2 throughput).
         self.data_packets_injected = 0
@@ -268,6 +274,77 @@ class Fabric(Snapshottable):
     # ------------------------------------------------------------------
     def _arrive(self, packet: Packet) -> None:
         now = self.sim.now
+        if self._plain and not self.failed_links and not self.degraded_links:
+            # One frame per plain hop: the bodies of Router.occupy and
+            # Router.account, in that order, and Router.forward's
+            # store-and-forward timing.  Keep all three in step with it.
+            path = packet.path
+            hop = packet.hop
+            router = self.routers[path[hop]]
+            last = hop == len(path) - 1
+            if last:
+                port = router.host_ports.get(packet.dst)
+                if port is None:
+                    port = router.port_to("host", packet.dst)
+            else:
+                port = router.router_ports.get(path[hop + 1])
+                if port is None:
+                    port = router.port_to("router", path[hop + 1])
+            ready = now + router._routing_delay_s
+            busy = port.busy_until
+            depart_start = busy if busy > ready else ready
+            wait = depart_start - ready
+            size = packet.size_bytes
+            tx = router._tx_cache.get(size)
+            if tx is None:
+                tx = router.config.tx_time_s(size)
+            depart = depart_start + tx
+
+            queue = port.queue
+            flow_bytes = port.flow_bytes
+            if queue and queue[0][0] <= now:
+                popleft = queue.popleft
+                while queue and queue[0][0] <= now:
+                    _, f, s = popleft()
+                    port.occupancy_bytes -= s
+                    remaining = flow_bytes[f] - s
+                    if remaining:
+                        flow_bytes[f] = remaining
+                    else:
+                        del flow_bytes[f]
+            if port.occupancy_bytes + size > router._buffer_size:
+                port.overflows += 1
+            flow = packet._flow
+            if flow is None:
+                flow = packet._flow = ContendingFlow(packet.src, packet.dst)
+            queue.append((depart, flow, size))
+            port.occupancy_bytes += size
+            flow_bytes[flow] = flow_bytes.get(flow, 0) + size
+            if depart > port.busy_until:
+                port.busy_until = depart
+
+            packet.path_latency += wait
+            port.total_wait_s += wait
+            port.packets += 1
+            port.bytes += size
+            router.total_wait_s += wait
+            router.packets_forwarded += 1
+            router.bytes_forwarded += size
+            if router.wait_observer is not None:
+                router.wait_observer(router.router_id, now, wait)
+            if (
+                wait > router._threshold_s
+                and packet.kind == DATA
+                and now >= port.cfd_quiet_until
+            ):
+                router._cfd(packet, port, wait, now)
+
+            if last:
+                self._schedule_at(depart + self._link_delay_s, self._deliver, packet)
+            else:
+                packet.hop = hop + 1
+                self._schedule_at(depart + self._link_delay_s, self._arrive, packet)
+            return
         if self.failed_links and not self._crossed_link_alive(packet):
             # The link died while the packet was on the wire: a fault is
             # not a routing decision, so packets already committed to the

@@ -162,62 +162,20 @@ class Router(Snapshottable):
         whole body (``busy_until`` always advances by the full
         transmission time).
 
-        The bodies of :meth:`occupy` and :meth:`account` are inlined here
-        (this is the per-packet-hop inner loop); the standalone methods
-        remain the entry points for the VC dispatcher and must stay
-        behaviorally identical to this sequence.
+        :meth:`repro.network.fabric.Fabric._arrive` inlines this sequence
+        for a plain hop (store-and-forward, no VC, no On/Off, no failed or
+        degraded link).  This method serves every other hop and must
+        leave the same state as the inlined copy.
         """
         ready = now + self._routing_delay_s
         busy = port.busy_until
         depart_start = busy if busy > ready else ready
-        wait = depart_start - ready
-        size = packet.size_bytes
-        tx = self._tx_cache.get(size)
+        tx = self._tx_cache.get(packet.size_bytes)
         if tx is None:
-            tx = self.config.tx_time_s(size)
+            tx = self.config.tx_time_s(packet.size_bytes)
         depart = depart_start + tx
-
-        # --- occupy (inlined) ---
-        queue = port.queue
-        flow_bytes = port.flow_bytes
-        if queue and queue[0][0] <= now:
-            popleft = queue.popleft
-            while queue and queue[0][0] <= now:
-                _, f, s = popleft()
-                port.occupancy_bytes -= s
-                remaining = flow_bytes[f] - s
-                if remaining:
-                    flow_bytes[f] = remaining
-                else:
-                    del flow_bytes[f]
-        if port.occupancy_bytes + size > self._buffer_size:
-            port.overflows += 1
-        flow = packet._flow
-        if flow is None:
-            flow = packet._flow = ContendingFlow(packet.src, packet.dst)
-        queue.append((depart, flow, size))
-        port.occupancy_bytes += size
-        flow_bytes[flow] = flow_bytes.get(flow, 0) + size
-        if depart > port.busy_until:
-            port.busy_until = depart
-
-        # --- account (inlined) ---
-        packet.path_latency += wait
-        port.total_wait_s += wait
-        port.packets += 1
-        port.bytes += size
-        self.total_wait_s += wait
-        self.packets_forwarded += 1
-        self.bytes_forwarded += size
-        if self.wait_observer is not None:
-            self.wait_observer(self.router_id, now, wait)
-        if (
-            wait > self._threshold_s
-            and packet.kind == DATA
-            and now >= port.cfd_quiet_until
-        ):
-            self._cfd(packet, port, wait, now)
-
+        self.occupy(packet, port, depart, now)
+        self.account(packet, port, depart_start - ready, now)
         if self._cut_through and port.target_kind == "router":
             # Hand the header to the next router early; final delivery to
             # a host is still timed at the packet tail, so end-to-end

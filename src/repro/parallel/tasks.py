@@ -224,7 +224,8 @@ def make_topology(spec: str):
     ``slimtree:4,3,0.5``, ``hypercube:6``, ``dragonfly:4,2,2``.  Each call
     returns a fresh instance.  The instance comes with its route cache
     pre-enabled (see ``Topology.enable_route_cache``): workers answer the
-    same minimal-route queries for every packet of a cell.
+    same minimal-route queries for every packet of a cell, from a table
+    shared by every instance of the shape.
     """
     name, _, arg_text = spec.partition(":")
     builder = _TOPOLOGY_BUILDERS.get(name.strip())

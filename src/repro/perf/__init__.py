@@ -172,8 +172,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="re-record the policies' digests into the baseline file "
-        "(a conscious act: review the behavior change first)",
+        help="re-record the policies' digests into the baseline file, "
+        "keeping the other policies' (a conscious act: review the "
+        "behavior change first)",
     )
     args = parser.parse_args(argv)
 
@@ -185,7 +186,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.update_baseline:
         target = args.baseline or BASELINE_PATH
-        digests = {p: r["got"] for p, r in results.items()}
+        # Merge: policies not re-run keep their recorded digests.
+        digests = dict(baseline["digests"])
+        digests.update((p, r["got"]) for p, r in results.items())
         target.write_text(
             json.dumps({"digests": digests, "scenario": baseline["scenario"]},
                        indent=2, sort_keys=True) + "\n",

@@ -33,7 +33,6 @@ import json
 import re
 import sys
 import threading
-import time
 import urllib.request
 from typing import Optional, Sequence
 
@@ -48,6 +47,10 @@ SMOKE_SPEC = {
     "mesh_side": 4,
     "repetitions": 2,
 }
+
+#: a job stream the server closes after this many seconds without a
+#: frame, so a stuck job ends the wait instead of hanging it.
+_IDLE_S = 10
 
 _PROM_LINE = re.compile(
     r"^(# (TYPE|HELP) [a-zA-Z_:][a-zA-Z0-9_:]* .+"
@@ -71,15 +74,12 @@ def _post_json(base: str, path: str, payload: dict) -> dict:
         return json.loads(response.read().decode("utf-8"))
 
 
-def _read_sse(base: str, path: str, max_s: float = 30.0) -> list[dict]:
+def _read_sse(base: str, path: str) -> list[dict]:
     """Collect ``(event, payload)`` frames until the server closes us."""
     frames: list[dict] = []
-    deadline = time.monotonic() + max_s  # repro: allow(no-wall-clock)
-    with urllib.request.urlopen(base + path, timeout=max_s) as response:
+    with urllib.request.urlopen(base + path, timeout=30) as response:
         event_type, data = None, None
         for raw in response:
-            if time.monotonic() > deadline:  # repro: allow(no-wall-clock)
-                break
             line = raw.decode("utf-8").rstrip("\n")
             if line.startswith(":"):
                 continue
@@ -93,14 +93,28 @@ def _read_sse(base: str, path: str, max_s: float = 30.0) -> list[dict]:
     return frames
 
 
-def _wait_terminal(base: str, job_id: str, max_s: float = 30.0) -> dict:
-    deadline = time.monotonic() + max_s  # repro: allow(no-wall-clock)
-    while time.monotonic() < deadline:  # repro: allow(no-wall-clock)
-        job = _get_json(base, f"/jobs/{job_id}")
-        if job["state"] in ("done", "failed"):
-            return job
-        time.sleep(0.1)
-    raise AssertionError(f"job {job_id} did not reach a terminal state in {max_s}s")
+def _terminal_job(job_id: str, frames: list[dict]) -> dict:
+    """The job record in a job stream's last frame, which must be done
+    or failed.
+
+    A job stream closes after the frame in which the job reaches a
+    terminal state (or right after the opening ``state`` frame when the
+    job was already terminal and its backlog evicted); any other last
+    frame means the stream went idle first.
+    """
+    last = frames[-1] if frames else {"event": None, "payload": {}}
+    payload = last["payload"]
+    job = payload.get("job") if last["event"] == "state" else payload.get("data", {}).get("job")
+    if job is None or job["state"] not in ("done", "failed"):
+        raise AssertionError(
+            f"job {job_id} stream ended at {last['event']!r} before a terminal state"
+        )
+    return job
+
+
+def _wait_terminal(base: str, job_id: str) -> dict:
+    frames = _read_sse(base, f"/jobs/{job_id}/events?idle={_IDLE_S}")
+    return _terminal_job(job_id, frames)
 
 
 def run_selftest(cache_dir: str, journal_path: str) -> int:
@@ -127,7 +141,7 @@ def run_selftest(cache_dir: str, journal_path: str) -> int:
         submitted = _post_json(base, "/jobs", SMOKE_SPEC)
         job_id = submitted["job"]["id"]
         check("submit", submitted["created"] is True, job_id)
-        frames = _read_sse(base, f"/jobs/{job_id}/events?idle=3")
+        frames = _read_sse(base, f"/jobs/{job_id}/events?idle={_IDLE_S}")
         kinds = [f["event"] for f in frames]
         check("sse.state-frame", bool(kinds) and kinds[0] == "state")
         check("sse.progress", "progress" in kinds, f"{kinds.count('progress')} frames")
@@ -135,16 +149,8 @@ def run_selftest(cache_dir: str, journal_path: str) -> int:
             "sse.cell-metrics", "cell.metrics" in kinds,
             f"{kinds.count('cell.metrics')} snapshots",
         )
-        terminal = [
-            f for f in frames
-            if f["event"] == "job" and f["payload"]["data"]["state"] in ("done", "failed")
-        ]
-        job = _wait_terminal(base, job_id)
+        job = _terminal_job(job_id, frames)
         check("job.done", job["state"] == "done", job.get("error") or "")
-        check(
-            "sse.terminal", bool(terminal) or job["state"] == "done",
-            "terminal job event observed" if terminal else "via poll",
-        )
         check("job.executed", job["executed"] == 2, f"executed={job['executed']}")
 
         # 2. Identical re-POST: zero recomputation, all cells from cache.

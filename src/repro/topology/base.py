@@ -17,10 +17,34 @@ destination's router, inclusive.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
 Path = tuple[int, ...]
+
+#: Route tables one process keeps, one per topology shape.  Attaching a
+#: shape past this many evicts the least recently attached one, so a
+#: long-running service holds a bounded set whatever shapes it serves.
+ROUTE_TABLE_SHAPES = 8
+
+#: ``(class, shape key) -> {query name: {args: answer}}``, least
+#: recently attached first.
+_ROUTE_TABLES: dict[tuple, dict[str, dict]] = {}
+_ROUTE_TABLES_LOCK = threading.Lock()
+
+
+def _shared_route_table(key: tuple) -> dict[str, dict]:
+    """The process-wide route table for one topology shape (made on
+    first use, evicting the least recently attached shape at the cap)."""
+    with _ROUTE_TABLES_LOCK:
+        table = _ROUTE_TABLES.pop(key, None)
+        if table is None:
+            table = {name: {} for name in Topology._ROUTE_MEMO_NAMES}
+            if len(_ROUTE_TABLES) >= ROUTE_TABLE_SHAPES:
+                del _ROUTE_TABLES[next(iter(_ROUTE_TABLES))]
+        _ROUTE_TABLES[key] = table
+        return table
 
 
 class Topology(ABC):
@@ -152,13 +176,25 @@ class Topology(ABC):
     # ------------------------------------------------------------------
     # Hot-path memoization
     # ------------------------------------------------------------------
+    @abstractmethod
+    def shape_key(self) -> tuple:
+        """The constructor arguments that fix every routing answer,
+        led by :attr:`kind`, e.g. ``("mesh2d", 8, 8)``.
+
+        Instances of one class with equal keys share one process-wide
+        route table (:meth:`enable_route_cache`).
+        """
+
     def enable_route_cache(self) -> None:
-        """Memoize the pure routing queries on *this instance*.
+        """Memoize the pure routing queries in this shape's shared table.
 
         Topologies are immutable once constructed, and the fabric asks the
         same ``minimal_route`` / ``minimal_next_hops`` / ``host_router``
         questions for every packet — memoizing them turns per-packet graph
-        walks into dict lookups (see docs/performance.md).  Installed
+        walks into dict lookups (see docs/performance.md).  The answers
+        depend only on the class and :meth:`shape_key`, so every instance
+        of one shape reads and fills one table: a second ``Mesh2D(8)`` in
+        the process computes no path the first one already did.  Installed
         automatically by :class:`repro.network.fabric.Fabric` and by
         :func:`repro.parallel.tasks.make_topology`; idempotent.
 
@@ -169,17 +205,14 @@ class Topology(ABC):
         if self.__dict__.get("_route_cache_enabled"):
             return
         self.__dict__["_route_cache_enabled"] = True
-        for name in (
-            "host_router",
-            "router_neighbors",
-            "minimal_route",
-            "distance",
-            "minimal_next_hops",
-        ):
+        table = _shared_route_table((type(self), self.shape_key()))
+        # Two threads may miss on one key together; both compute the
+        # same pure answer, so the second store changes nothing.
+        # ``alternative_paths`` (last) gets its own memo below.
+        for name in self._ROUTE_MEMO_NAMES[:-1]:
             fn = getattr(self, name)
-            cache: dict = {}
 
-            def memo(*args, _fn=fn, _cache=cache):
+            def memo(*args, _fn=fn, _cache=table[name]):
                 hit = _cache.get(args)
                 if hit is None:
                     hit = _cache[args] = _fn(*args)
@@ -187,12 +220,10 @@ class Topology(ABC):
 
             memo.__name__ = f"{name}_memo"
             self.__dict__[name] = memo
-        alt = self.alternative_paths
-        alt_cache: dict = {}
 
         def alternative_paths_memo(
             src_host: int, dst_host: int, max_paths: int,
-            _fn=alt, _cache=alt_cache,
+            _fn=self.alternative_paths, _cache=table["alternative_paths"],
         ) -> list[Path]:
             key = (src_host, dst_host, max_paths)
             hit = _cache.get(key)
@@ -216,8 +247,9 @@ class Topology(ABC):
         """Pickle without the memo closures (they are unpicklable).
 
         The memoized queries are pure functions of the immutable topology,
-        so dropping the warm cache and rebuilding it on restore cannot
-        change any routing answer — checkpoints stay behaviour-identical.
+        so dropping the memos and re-attaching them to the shape's shared
+        table on restore cannot change any routing answer — checkpoints
+        stay behaviour-identical.
         """
         state = dict(self.__dict__)
         if state.pop("_route_cache_enabled", None):

@@ -91,6 +91,9 @@ class Dragonfly(Topology):
         return tuple(out)
 
     # -- Topology API --------------------------------------------------
+    def shape_key(self) -> tuple:
+        return (self.kind, self.a, self.p, self.h)
+
     @property
     def num_hosts(self) -> int:
         return self.num_groups * self.a * self.p

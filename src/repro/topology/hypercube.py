@@ -20,6 +20,9 @@ class Hypercube(Topology):
             raise ValueError("need at least one dimension")
         self.dimensions = dimensions
 
+    def shape_key(self) -> tuple:
+        return (self.kind, self.dimensions)
+
     @property
     def num_hosts(self) -> int:
         return 1 << self.dimensions

@@ -41,6 +41,9 @@ class KaryNCube(Topology):
         return value
 
     # -- Topology API --------------------------------------------------------
+    def shape_key(self) -> tuple:
+        return (self.kind, self.k, self.n)
+
     @property
     def num_hosts(self) -> int:
         return self._size

@@ -36,6 +36,9 @@ class Mesh2D(Topology):
         return y * self.width + x
 
     # -- Topology API ----------------------------------------------------
+    def shape_key(self) -> tuple:
+        return (self.kind, self.width, self.height)
+
     @property
     def num_hosts(self) -> int:
         return self.width * self.height

@@ -39,6 +39,9 @@ class SlimmedKaryNTree(KaryNTree):
         self.kept_digits = max(1, math.ceil(k * keep_fraction))
         self.keep_fraction = keep_fraction
 
+    def shape_key(self) -> tuple:
+        return (self.kind, self.k, self.n, self.keep_fraction)
+
     # -- helpers -----------------------------------------------------------
     def _fold(self, digit: int) -> int:
         """Map any root digit choice onto a surviving switch."""

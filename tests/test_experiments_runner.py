@@ -1,5 +1,7 @@
 """Tests for the policy-comparison runner."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,15 @@ def test_run_app_workload_reports_execution_time():
     for r in runs.values():
         assert r.execution_time_s > 0
         assert r.accepted_ratio == 1.0
+
+
+def test_run_app_workload_accepts_a_partial_factory():
+    """Any callable is a trace factory, not only a plain function."""
+    factory = functools.partial(sweep3d_trace, num_ranks=16, iterations=1)
+    partial_runs = run_app_workload("mesh:4", ["drb"], factory)
+    direct_runs = run_app_workload(
+        "mesh:4", ["drb"], sweep3d_trace,
+        trace_kwargs={"num_ranks": 16, "iterations": 1},
+    )
+    assert partial_runs["drb"].execution_time_s > 0
+    assert partial_runs["drb"].execution_time_s == direct_runs["drb"].execution_time_s

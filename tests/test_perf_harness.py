@@ -108,3 +108,14 @@ def test_cli_update_baseline_rewrites_file(tmp_path, baseline):
     assert updated["digests"]["deterministic"] == baseline["digests"]["deterministic"]
     # The scenario pin survives the rewrite unchanged.
     assert updated["scenario"] == baseline["scenario"]
+
+
+def test_cli_update_baseline_keeps_other_policies(tmp_path, baseline):
+    """Re-recording a subset merges into the file: the policies not run
+    keep their digests, so the default all-policy gate still passes."""
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(baseline))
+    code = main(["--policies", "drb", "--baseline", str(path), "--update-baseline"])
+    assert code == 0
+    assert json.loads(path.read_text()) == baseline
+    assert main(["--baseline", str(path)]) == 0
